@@ -50,7 +50,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="openpoint")
     parser.add_argument("--format", choices=["ndjson", "pretty"], default="ndjson")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a space file, print its canonical form")
@@ -126,13 +125,12 @@ def cmd_solve(args, out):
     return 0
 
 
-def _build_chooser(args, spaces_list, prod):
+def _build_chooser(args, spaces_list, prod, table):
     name = args.chooser
     if name in ("product", "aggregate") and prod is None:
         raise UsageError(f"--pI {name} needs at least two space files")
     if name == "optimal":
-        space = prod.space if prod else spaces_list[0]
-        return strategies.optimal_chooser(space, _variant(args.variant)), None
+        return strategies.table_chooser(table), None
     if name == "pi-base":
         space = prod.space if prod else spaces_list[0]
         return strategies.pi_base_chooser(space), None
@@ -148,8 +146,8 @@ def _build_chooser(args, spaces_list, prod):
     return agg, agg
 
 
-def _build_picker(args, space):
-    from .game import first_point_picker, optimal_picker, random_picker, stalling_picker
+def _build_picker(args, space, table):
+    from .game import first_point_picker, random_picker, stalling_picker, table_picker
 
     if args.picker == "random":
         return random_picker
@@ -158,7 +156,7 @@ def _build_picker(args, space):
     if args.picker == "stall":
         return stalling_picker(space)
     if args.picker == "optimal":
-        return optimal_picker(space, _variant(args.variant))
+        return table_picker(table)
     if args.picker == "dense":
         mask = space.full
         if args.dense_set is not None:
@@ -195,10 +193,11 @@ def cmd_play(args, out, err, stdin):
     spaces_list = [_load_space_arg(p) for p in args.spaces]
     prod = products.product(spaces_list) if len(spaces_list) > 1 else None
     space = prod.space if prod else spaces_list[0]
-    chooser, agg = _build_chooser(args, spaces_list, prod)
+    table = solve_game(space, _variant(args.variant))
+    chooser, agg = _build_chooser(args, spaces_list, prod, table)
     if args.ledger is not None and agg is None:
         raise UsageError("--ledger only applies to the aggregate strategy")
-    picker = _build_picker(args, space)
+    picker = _build_picker(args, space, table)
     if picker is None:
         picker = _interactive_picker(space, err, stdin)
 
@@ -214,7 +213,7 @@ def cmd_play(args, out, err, stdin):
         space, chooser, picker, _variant(args.variant),
         rng=random.Random(args.seed), on_step=emit_step,
     )
-    gd = solve_game(space, _variant(args.variant)).gd
+    gd = table.gd
     _emit(out, {
         "length": transcript.length,
         "gd": gd,
@@ -243,9 +242,7 @@ def cmd_enumerate(args, out):
 
 
 def cmd_suite(args, out, err):
-    ok, records = enumeration.verify_suite(
-        args.n, checks=args.checks, seed=args.seed, jobs=args.jobs
-    )
+    ok, records = enumeration.verify_suite(args.n, checks=args.checks, seed=args.seed)
     sink = open(args.report, "w", encoding="utf-8") if args.report else out
     try:
         for rec in records:

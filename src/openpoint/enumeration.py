@@ -427,8 +427,7 @@ def _check_metric(seed: int):
     return None
 
 
-def verify_suite(n: int, checks="all", seed: int = 0, jobs: int = 1,
-                 pair_cap: int = 3):
+def verify_suite(n: int, checks="all", seed: int = 0, pair_cap: int = 3):
     """Run the selected checks over the exhaustive corpus for size n.
 
     Space-level checks run on every labeled topology of exactly n points;
@@ -486,13 +485,7 @@ def verify_suite(n: int, checks="all", seed: int = 0, jobs: int = 1,
             rec["note"] = note
         return rec
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_one, tasks))
-    else:
-        records = [run_one(t) for t in tasks]
+    records = [run_one(t) for t in tasks]
     records.sort(key=lambda r: (r["subject"], r["check"]))
     ok = all(r["status"] == "pass" for r in records)
     return ok, records

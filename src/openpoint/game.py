@@ -44,20 +44,6 @@ class InvariantViolation(AssertionError):
     """An internal guarantee failed (e.g. a pi-base with no legal member)."""
 
 
-def _move_candidates(space: FiniteSpace, closed: int, variant: GameVariant):
-    """Inclusion-minimal opens worth offering at a closed state.
-
-    Any open contains a minimal one whose picker replies are a subset of
-    its own, so restricting the chooser to minimal opens never changes the
-    minimax value.  Minimal opens trace indiscretely on closed sets, hence
-    each is either inside ``closed`` or disjoint from it.
-    """
-    mins = minimal_opens(space)
-    if variant is GameVariant.RESTRICTED:
-        return [m for m in mins if not m & closed]
-    return list(mins)
-
-
 def _multi_replies(move: int):
     pts = list(bits(move))
     if len(pts) > MULTI_POINT_CAP:
@@ -74,18 +60,68 @@ def _multi_replies(move: int):
     return subsets
 
 
-@dataclass(frozen=True)
 class StrategyTable:
-    """Memoized optimal play: remaining length and a best offer per state."""
+    """Lazy memoized minimax: remaining length and a best offer per state.
 
-    space: FiniteSpace
-    variant: GameVariant
-    value: dict[int, int]
-    best_move: dict[int, int]
+    A table starts holding only the terminal state; ``table(closed)`` solves
+    that state on demand and returns its value, so ``value`` and
+    ``best_move`` hold exactly the states evaluated so far.  A state with no
+    offer avoiding it (only possible for a set that is not closed) gets the
+    value ``math.inf`` and no best move.
+
+    Offers range over the minimal opens only: any open contains a minimal
+    one whose picker replies are a subset of its own, so this never changes
+    the value.  A minimal open is either inside the closure or disjoint from
+    it, and one inside lets the picker re-pick a covered point forever, so
+    in every variant the best offer is a disjoint minimal open.  A
+    multi-point reply S leads to ``closed | cl(S)``, the union of the
+    single-point next states of its points, so the solver branches over the
+    unions of the distinct single-point next states instead of over every
+    reply subset.
+    """
+
+    def __init__(self, space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED):
+        self.space = space
+        self.variant = variant
+        self.value: dict[int, float] = {space.full: 0}
+        self.best_move: dict[int, int] = {}
 
     @property
     def gd(self) -> int:
-        return self.value[0]
+        return self(0)
+
+    def __call__(self, closed: int) -> float:
+        value, best = self.value, self.best_move
+        got = value.get(closed)
+        if got is not None:
+            return got
+        clpt = self.space.point_closures()
+        mins = minimal_opens(self.space)
+        multi = self.variant is GameVariant.MULTI_POINT
+
+        def visit(closed: int) -> float:
+            got = value.get(closed)
+            if got is not None:
+                return got
+            best_val, best_mv = INFINITE, None
+            for m in mins:
+                if m & closed:
+                    continue
+                if multi:
+                    nexts = {closed | clpt[x] for x in bits(m)}
+                    if len(nexts) > 1:
+                        nexts = _unions(nexts)
+                    branch = max(visit(s) for s in nexts)
+                else:
+                    branch = max(visit(closed | clpt[x]) for x in bits(m))
+                if branch < best_val:
+                    best_val, best_mv = branch, m
+            value[closed] = best_val + 1
+            if best_mv is not None:
+                best[closed] = best_mv
+            return best_val + 1
+
+        return visit(closed)
 
     def records(self):
         for closed in sorted(self.value):
@@ -98,38 +134,22 @@ class StrategyTable:
             yield rec
 
 
+def _unions(sets) -> set[int]:
+    """Every union of a non-empty subfamily of ``sets``."""
+    out: set[int] = set()
+    for s in sets:
+        out |= {s | u for u in out}
+        out.add(s)
+    return out
+
+
 def solve_game(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED) -> StrategyTable:
     """Full minimax over every closed state reachable from the empty one."""
-    clpt = space.point_closures()
-    full = space.full
-    value: dict[int, float] = {full: 0}
-    best: dict[int, int] = {}
-
-    def visit(closed: int) -> float:
-        got = value.get(closed)
-        if got is not None:
-            return got
-        best_val: float = INFINITE
-        best_mv = None
-        for m in _move_candidates(space, closed, variant):
-            if m & closed:
-                # the picker may re-pick a covered point forever
-                branch: float = INFINITE
-            elif variant is GameVariant.MULTI_POINT:
-                branch = max(visit(closed | _close(clpt, s)) for s in _multi_replies(m))
-            else:
-                branch = max(visit(closed | clpt[x]) for x in bits(m))
-            if branch < best_val:
-                best_val, best_mv = branch, m
-        if best_mv is None:
-            raise InvariantViolation("no offerable open at a non-terminal state")
-        value[closed] = best_val + 1
-        best[closed] = best_mv
-        return best_val + 1
-
-    visit(0)
-    assert all(v != INFINITE for v in value.values())
-    return StrategyTable(space=space, variant=variant, value=dict(value), best_move=best)
+    table = StrategyTable(space, variant)
+    table(0)
+    if INFINITE in table.value.values():
+        raise InvariantViolation("a reachable state has no finite value")
+    return table
 
 
 def _close(clpt, mask: int) -> int:
@@ -148,15 +168,17 @@ def exact_force_set(space: FiniteSpace) -> frozenset[int]:
     and the recursion is well-founded.
     """
     clpt = space.point_closures()
-    full = space.full
-    memo: dict[int, frozenset[int]] = {full: frozenset({0})}
+    mins = minimal_opens(space)
+    memo: dict[int, frozenset[int]] = {space.full: frozenset({0})}
 
     def visit(closed: int) -> frozenset[int]:
         got = memo.get(closed)
         if got is not None:
             return got
         out: set[int] = set()
-        for m in _move_candidates(space, closed, GameVariant.RESTRICTED):
+        for m in mins:
+            if m & closed:
+                continue
             shared = None
             for x in bits(m):
                 nxt = visit(closed | clpt[x])
@@ -356,34 +378,21 @@ def stalling_picker(space: FiniteSpace):
     return pick
 
 
-def value_function(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED):
+def value_function(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED) -> StrategyTable:
     """Memoized optimal remaining length, defined at every closed state."""
-    clpt = space.point_closures()
-    memo: dict[int, float] = {space.full: 0}
+    return StrategyTable(space, variant)
 
-    def value(closed: int) -> float:
-        got = memo.get(closed)
-        if got is not None:
-            return got
-        best = INFINITE
-        for m in _move_candidates(space, closed, variant):
-            if m & closed:
-                continue
-            branch = max(value(closed | clpt[x]) for x in bits(m))
-            best = min(best, branch + 1)
-        memo[closed] = best
-        return best
 
-    return value
+def table_picker(table: StrategyTable):
+    """Pick the point that leaves the longest optimal remainder; ties go low."""
+    clpt = table.space.point_closures()
+
+    def pick(closed, offered, stage, rng=None):
+        return 1 << max(bits(offered), key=lambda x: table(closed | clpt[x]))
+
+    return pick
 
 
 def optimal_picker(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED):
     """Picker that maximizes the remaining optimal length."""
-    clpt = space.point_closures()
-    value = value_function(space, variant)
-
-    def pick(closed, offered, stage, rng=None):
-        options = sorted(bits(offered), key=lambda x: (-value(closed | clpt[x]), x))
-        return 1 << options[0]
-
-    return pick
+    return table_picker(value_function(space, variant))

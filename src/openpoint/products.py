@@ -50,9 +50,6 @@ class ProductSpace:
             out |= 1 << self.decode(idx)[axis]
         return out
 
-    def point_label(self, coords) -> str:
-        return "(" + ",".join(f.point_labels[c] for f, c in zip(self.factors, coords)) + ")"
-
 
 def _decode(sizes, idx: int) -> tuple[int, ...]:
     out = []
@@ -288,8 +285,6 @@ def fan_tightness_check(factors, kappa: int, candidate_policy: str = "boxes",
             pool = opens_nonempty
         fam_size = min(kappa, len(pool))
         families = list(islice(combinations(pool, fam_size), FAMILY_TRY_CAP))
-        # larger families only strengthen the hypothesis, so try them first
-        families.sort(key=len, reverse=True)
         clpt = sub.space.point_closures()
         cl_tab = _table_dp(pts, clpt)
         proj_pt = [

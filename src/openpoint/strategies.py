@@ -87,40 +87,23 @@ def dense_point_picker(space: FiniteSpace, dense_set: int):
 
 
 def table_chooser(table):
-    """Play the solver's best move; worst case equals gd of the space."""
+    """Play the solver's best move, solving each closed state on demand.
+
+    The table answers at every closed state, not just those reachable from
+    the empty one: sub-games inside product strategies reach states that
+    plain optimal play never visits.  Worst case equals gd of the space.
+    """
 
     def choose(closed, stage):
-        move = table.best_move.get(closed)
-        if move is None:
-            raise InvariantViolation("closed state outside the strategy table")
-        return move
+        table(closed)
+        return table.best_move[closed]
 
     return choose
 
 
 def optimal_chooser(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED):
-    """Best-move policy defined at every closed state, not just table states.
-
-    Sub-games inside product strategies reach states the plain solver never
-    visits, so the value function is evaluated lazily on demand.
-    """
-    value = value_function(space, variant)
-    clpt = space.point_closures()
-    mins = minimal_opens(space)
-
-    def choose(closed, stage):
-        best_val, best_mv = None, None
-        for m in mins:
-            if m & closed:
-                continue
-            branch = max(value(closed | clpt[x]) for x in bits(m))
-            if best_val is None or branch < best_val:
-                best_val, best_mv = branch, m
-        if best_mv is None:
-            raise InvariantViolation("no disjoint minimal open at a non-terminal state")
-        return best_mv
-
-    return choose
+    """Best-move policy defined at every closed state."""
+    return table_chooser(value_function(space, variant))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,16 @@ class TestPlay:
         final = ndjson_lines(out)[-1]
         assert final == {"length": 1, "gd": 1, "matched_gd": True}
 
+    @pytest.mark.parametrize("variant", ["restricted", "free", "multi-point"])
+    def test_optimal_against_optimal_on_a_product(self, sierpinski_file, discrete2_file,
+                                                  variant):
+        code, out, _ = invoke([
+            "play", discrete2_file, sierpinski_file,
+            "--pI", "optimal", "--pII", "optimal", "--variant", variant,
+        ])
+        assert code == 0
+        assert ndjson_lines(out)[-1] == {"length": 2, "gd": 2, "matched_gd": True}
+
     def test_interactive_reprompts_outside_point(self, sierpinski_file):
         code, out, err = invoke(
             ["play", sierpinski_file], stdin_text="a\nb\n"

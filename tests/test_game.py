@@ -106,10 +106,15 @@ class TestSolve:
 
         assert solve_game(space, GameVariant.MULTI_POINT).gd == visit(0)
 
+    def test_multi_point_branches_on_distinct_next_states(self):
+        # every pick from the one open closes the space: no reply subsets
+        assert solve_game(make_indiscrete(13), GameVariant.MULTI_POINT).gd == 1
+
     def test_multi_point_reply_cap(self):
+        # a policy observes the picks, so evaluation enumerates reply subsets
         big = make_indiscrete(13)
         with pytest.raises(TooLarge):
-            solve_game(big, GameVariant.MULTI_POINT)
+            evaluate_chooser(big, lambda closed, stage: big.full, GameVariant.MULTI_POINT)
 
     def test_records_emitted_sorted(self, sierpinski):
         recs = list(solve_game(sierpinski).records())

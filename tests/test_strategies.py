@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openpoint.game import (
     GameVariant,
@@ -28,6 +30,7 @@ from openpoint.strategies import (
 )
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski, make_two_sierpinski
+from .util import spaces
 
 
 class TestOrderedPiBase:
@@ -136,6 +139,20 @@ class TestTableChooser:
     def test_optimal_chooser_matches_table(self, two_sierpinski):
         table = solve_game(two_sierpinski)
         assert evaluate_chooser(two_sierpinski, optimal_chooser(two_sierpinski)) == table.gd
+
+    def test_solves_states_unreachable_from_empty(self, sierpinski):
+        # {a} is closed, but optimal play from the empty state never meets it
+        table = solve_game(sierpinski)
+        assert 0b01 not in table.value
+        assert table_chooser(table)(0b01, 0) == 0b10
+
+    @given(spaces(max_points=4), st.sampled_from(list(GameVariant)))
+    @settings(max_examples=60)
+    def test_choosers_play_the_table_move(self, space, variant):
+        table = solve_game(space, variant)
+        optimal, from_table = optimal_chooser(space, variant), table_chooser(table)
+        for closed, move in list(table.best_move.items()):
+            assert optimal(closed, 0) == from_table(closed, 0) == move
 
 
 class TestProductChooser:
