@@ -276,9 +276,11 @@ def cmd_fan_check(args, out):
         raise UsageError(f"cannot read {args.spec}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.spec} is not valid JSON: {exc}") from exc
-    raw = spec.get("factors")
-    if not raw:
+    raw = spec.get("factors") if isinstance(spec, dict) else None
+    if not isinstance(raw, list) or not raw:
         raise UsageError('fan-check spec needs a non-empty "factors" list')
+    if args.kappa < 1:
+        raise UsageError(f"--kappa must be at least 1, got {args.kappa}")
     factors = [
         _load_space_arg(f) if isinstance(f, str) else space_from_json(f)
         for f in raw
@@ -293,11 +295,8 @@ def cmd_fan_check(args, out):
         "cells": len(verdict.witness),
         "unknown_cells": len(verdict.unknown_cells),
     }, args.format)
-    sub_cache = {}
     for (gamma, u), family in sorted(verdict.witness.items()):
-        if gamma not in sub_cache:
-            sub_cache[gamma] = products.product([factors[g] for g in gamma])
-        sub = sub_cache[gamma].space
+        sub = products.product([factors[g] for g in gamma]).space
         _emit(out, {
             "gamma": list(gamma),
             "open": sorted(sub.label_set(u)),
@@ -364,3 +363,7 @@ def run(argv, out=None, err=None, stdin=None) -> int:
 
 def main() -> None:
     sys.exit(run(None))
+
+
+if __name__ == "__main__":
+    main()

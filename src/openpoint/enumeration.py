@@ -230,22 +230,22 @@ def _check_oracles(space):
 
 
 def _check_variants(space):
-    from .game import GameVariant, solve_game
+    from .game import GameVariant, solved_gd
 
-    gd_r = solve_game(space, GameVariant.RESTRICTED).gd
-    gd_f = solve_game(space, GameVariant.FREE).gd
-    gd_m = solve_game(space, GameVariant.MULTI_POINT).gd
+    gd_r = solved_gd(space, GameVariant.RESTRICTED)
+    gd_f = solved_gd(space, GameVariant.FREE)
+    gd_m = solved_gd(space, GameVariant.MULTI_POINT)
     if gd_r != gd_f or gd_m > gd_f:
         return {"restricted": gd_r, "free": gd_f, "multi": gd_m}
     return {"_note": {"multi_equals_free": gd_m == gd_f}}
 
 
 def _check_exact_force(space):
-    from .game import exact_force_set, solve_game
+    from .game import exact_force_set, solved_gd
     from .invariants import delta, density
 
     forced = exact_force_set(space)
-    gd = solve_game(space).gd
+    gd = solved_gd(space)
     d = density(space)
     dl = delta(space)
     for k in forced:
@@ -278,10 +278,10 @@ def _check_value_monotone(space):
 
 
 def _check_subspace_monotone(space):
-    from .game import solve_game
+    from .game import solve_game, solved_gd
     from .space import closure, interior, is_dense, subspace
 
-    gd = solve_game(space).gd
+    gd = solved_gd(space)
     subjects = {u for u in space.opens if u}
     subjects |= {a for a in range(1, space.full + 1) if is_dense(space, a)}
     for s in sorted(subjects):
@@ -359,28 +359,28 @@ def _check_pair_product(x, y):
 
 
 def _check_pair_gd(x, y):
-    from .game import solve_game
+    from .game import solved_gd
     from .products import product
 
     prod = product([x, y])
-    lhs = solve_game(prod.space).gd
-    rhs = solve_game(x).gd * solve_game(y).gd
+    lhs = solved_gd(prod.space)
+    rhs = solved_gd(x) * solved_gd(y)
     if lhs != rhs:
         return {"gd_product": lhs, "gd_factors": rhs}
     return None
 
 
 def _check_pair_strategies(x, y):
-    from .game import evaluate_chooser, solve_game
+    from .game import evaluate_chooser, solved_gd
     from .invariants import pi_weight
     from .products import product
     from .strategies import aggregate_chooser, product_chooser
 
     prod = product([x, y])
-    gd_prod = solve_game(prod.space).gd
-    gd_bound = solve_game(x).gd * solve_game(y).gd
+    gd_prod = solved_gd(prod.space)
+    gd_bound = solved_gd(x) * solved_gd(y)
     worst = evaluate_chooser(prod.space, product_chooser(x, y, prod=prod))
-    if not gd_prod <= worst <= pi_weight(x) * solve_game(y).gd:
+    if not gd_prod <= worst <= pi_weight(x) * solved_gd(y):
         return {"product_worst": worst}
     agg = aggregate_chooser([x, y], prod=prod)
     agg_worst = evaluate_chooser(prod.space, agg)
@@ -390,11 +390,11 @@ def _check_pair_strategies(x, y):
 
 
 def _check_pair_fan_link(x, y):
-    from .game import evaluate_chooser, solve_game
+    from .game import evaluate_chooser, solved_gd
     from .products import FanStatus, fan_tightness_check, product
     from .strategies import aggregate_chooser
 
-    gd_x, gd_y = solve_game(x).gd, solve_game(y).gd
+    gd_x, gd_y = solved_gd(x), solved_gd(y)
     kappa = max(2, gd_x, gd_y)
     verdict = fan_tightness_check([x, y], kappa, "boxes")
     if verdict.status is FanStatus.UNKNOWN:

@@ -152,6 +152,18 @@ def solve_game(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED
     return table
 
 
+def solved_gd(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED) -> int:
+    """``solve_game(space, variant).gd``, solved once per space and variant.
+
+    Only the integer is kept on the space; the table is dropped.
+    """
+    slot = ("gd", variant)
+    got = space._cache.get(slot)
+    if got is None:
+        got = space._cache[slot] = solve_game(space, variant).gd
+    return got
+
+
 def _close(clpt, mask: int) -> int:
     out = 0
     for x in bits(mask):

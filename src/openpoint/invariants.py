@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .game import solved_gd
 from .space import (
     FiniteSpace,
     closure,
@@ -131,12 +132,13 @@ def delta_oracle(space: FiniteSpace) -> int:
 def tightness(space: FiniteSpace) -> int:
     """max over (x, Y) with x in cl(Y) of the least |Z|, Z in Y, x in cl(Z)."""
     worst = 0
+    by_size = _subsets_by_size(space.full)
     for x in range(space.n):
         for y_set in range(1, space.full + 1):
             if not closure(space, y_set) >> x & 1:
                 continue
             need = None
-            for z in _subsets_by_size(space.full):
+            for z in by_size:
                 if z and z & y_set == z and closure(space, z) >> x & 1:
                     need = popcount(z)
                     break
@@ -177,11 +179,20 @@ class InvariantReport:
 
 
 def invariant_report(space: FiniteSpace, gd: int | None = None) -> InvariantReport:
-    """Compute the full chain; gd comes from the game solver unless given."""
-    if gd is None:
-        from .game import GameVariant, solve_game
+    """Compute the full chain; gd comes from the game solver unless given.
 
-        gd = solve_game(space, GameVariant.RESTRICTED).gd
+    The report with the solver's gd is computed once per space; a report
+    built from an explicit ``gd`` neither reads nor fills that cache.
+    """
+    if gd is not None:
+        return _report(space, gd)
+    got = space._cache.get("invariant_report")
+    if got is None:
+        got = space._cache["invariant_report"] = _report(space, solved_gd(space))
+    return got
+
+
+def _report(space: FiniteSpace, gd: int) -> InvariantReport:
     return InvariantReport(
         d=density(space),
         delta=delta(space),

@@ -88,10 +88,28 @@ def _product_succ(factors, sizes):
 
 
 def product(factors, name: str | None = None) -> ProductSpace:
-    """Materialize the product topology of 1..k finite spaces."""
+    """Materialize the product topology of 1..k finite spaces.
+
+    The first factor remembers its most recent product of each arity, so
+    repeated calls on the same factors return the same (immutable) object.
+    The key holds every factor's name, labels and opens: space equality
+    ignores names and labels, but the product's name and labels come from
+    them.
+    """
     factors = tuple(factors)
     if not factors:
         raise ValueError("a product needs at least one factor")
+    key = (name, tuple((f.name, f.point_labels, f.opens) for f in factors))
+    slot = ("product", len(factors))
+    got = factors[0]._cache.get(slot)
+    if got is not None and got[0] == key:
+        return got[1]
+    prod = _build_product(factors, name)
+    factors[0]._cache[slot] = (key, prod)
+    return prod
+
+
+def _build_product(factors, name):
     sizes = tuple(f.n for f in factors)
     total = 1
     for s in sizes:

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import openpoint
 from openpoint.cli import run
 from openpoint.space import space_from_json, space_to_json
 
@@ -182,6 +186,33 @@ class TestFanCheck:
         code, out, _ = invoke(["fan-check", str(spec), "--kappa", "1"])
         assert code == 0
 
+    def test_spec_that_is_a_list_is_usage_error(self, tmp_path, sierpinski_file):
+        spec = tmp_path / "fan.json"
+        spec.write_text(json.dumps([sierpinski_file]))
+        code, out, err = invoke(["fan-check", str(spec), "--kappa", "1"])
+        assert code == 1 and not out and '"factors"' in err
+
+    def test_kappa_zero_is_usage_error(self, tmp_path, sierpinski_file):
+        spec = tmp_path / "fan.json"
+        spec.write_text(json.dumps({"factors": [sierpinski_file]}))
+        code, out, err = invoke(["fan-check", str(spec), "--kappa", "0"])
+        assert code == 1 and not out and "--kappa" in err
+
+    def test_witness_lines_name_subproduct_points(self, tmp_path):
+        spec = tmp_path / "fan.json"
+        s = space_to_json(make_sierpinski())
+        d = space_to_json(make_discrete(2))
+        spec.write_text(json.dumps({"factors": [s, d]}))
+        code, out, _ = invoke(["fan-check", str(spec), "--kappa", "2"])
+        assert code == 0
+        cells = ndjson_lines(out)[1:]
+        assert [c["gamma"] for c in cells] == sorted(c["gamma"] for c in cells)
+        assert {tuple(c["gamma"]) for c in cells} == {(0,), (1,), (0, 1)}
+        points = {(0,): {"(a)", "(b)"}, (1,): {"(p0)", "(p1)"},
+                  (0, 1): {"(a,p0)", "(a,p1)", "(b,p0)", "(b,p1)"}}
+        for c in cells:
+            assert set(c["open"]) <= points[tuple(c["gamma"])]
+
 
 class TestGreedy:
     def test_worked_example(self, tmp_path):
@@ -217,3 +248,22 @@ class TestDeterminism:
         _, out2, _ = invoke(["--seed", "3", "suite", "--n", "2",
                              "--checks", "chain,variants,metric"])
         assert out1 == out2
+
+
+@pytest.mark.parametrize("module", ["openpoint", "openpoint.cli"])
+class TestModuleEntryPoints:
+    def _run(self, module, *argv):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(openpoint.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_runs_a_command(self, module, sierpinski_file):
+        proc = self._run(module, "validate", sierpinski_file)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["name"] == "sierpinski"
+
+    def test_bad_input_exits_one(self, module):
+        proc = self._run(module, "validate", "/nowhere/x.json")
+        assert proc.returncode == 1 and "error" in proc.stderr

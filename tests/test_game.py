@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from openpoint.game import (
     play_transcript,
     random_picker,
     solve_game,
+    solved_gd,
     stalling_picker,
 )
 from openpoint.invariants import delta, density
@@ -142,6 +144,30 @@ def _full_minimax(space):
 
     visit(0)
     return memo
+
+
+class TestSolvedGd:
+    def test_solved_once_per_variant(self, monkeypatch):
+        import openpoint.game as game
+
+        calls = []
+        fake = {v: 10 + i for i, v in enumerate(ALL_VARIANTS)}
+
+        def counting(space, variant=GameVariant.RESTRICTED):
+            calls.append(variant)
+            return SimpleNamespace(gd=fake[variant])
+
+        monkeypatch.setattr(game, "solve_game", counting)
+        space = make_discrete(2)
+        for _ in range(2):
+            assert [solved_gd(space, v) for v in ALL_VARIANTS] == list(fake.values())
+        assert solved_gd(space) == fake[GameVariant.RESTRICTED]
+        assert calls == ALL_VARIANTS
+
+    def test_matches_the_solver(self, labeled_corpus):
+        for space in labeled_corpus[3]:
+            for variant in ALL_VARIANTS:
+                assert solved_gd(space, variant) == solve_game(space, variant).gd
 
 
 class TestExactForce:

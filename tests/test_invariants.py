@@ -117,6 +117,17 @@ class TestReport:
         rep = invariant_report(make_chain(3))
         assert (rep.d, rep.pi, rep.w) == (1, 1, 3)
 
+    def test_report_is_computed_once(self):
+        space = make_chain(3)
+        assert invariant_report(space) is invariant_report(space)
+
+    def test_explicit_gd_bypasses_the_cache(self):
+        space = make_chain(3)
+        assert invariant_report(space, gd=7).gd == 7
+        assert invariant_report(space).gd == 1
+        assert invariant_report(space, gd=5).gd == 5
+        assert invariant_report(space).gd == 1
+
     def test_finite_collapse_on_whole_corpus(self, labeled_corpus):
         # computed finding: d = delta = gd = pi on every space with n <= 4
         for spaces in labeled_corpus.values():

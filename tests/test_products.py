@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from openpoint.enumeration import canonical_form
 from openpoint.game import solve_game
@@ -14,9 +15,16 @@ from openpoint.products import (
     product,
     sufficient_condition_check,
 )
-from openpoint.space import TooLarge, minimal_opens
+from openpoint.space import (
+    TooLarge,
+    minimal_opens,
+    space_from_json,
+    space_from_masks,
+    space_to_json,
+)
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski
+from .util import spaces
 
 
 class TestProduct:
@@ -77,6 +85,41 @@ class TestProduct:
                     unions.add(new)
                     frontier.append(new)
         assert sorted(unions) == list(prod.space.opens)
+
+
+class TestProductMemo:
+    def test_same_factors_give_the_same_object(self):
+        x, y = make_sierpinski(), make_discrete(2)
+        assert product([x, y]) is product([x, y])
+        assert product([x]) is product([x])
+
+    def test_labels_and_names_are_part_of_the_key(self):
+        x = make_sierpinski()
+        y = make_discrete(2)
+        renamed = make_discrete(2, name="other")
+        relabeled = space_from_masks("discrete2", ["q0", "q1"], y.opens)
+        assert y == renamed == relabeled  # equality ignores names and labels
+        assert product([x, y]).space.name == "sierpinskixdiscrete2"
+        assert product([x, renamed]).space.name == "sierpinskixother"
+        assert product([x, relabeled]).space.point_labels == (
+            "(a,q0)", "(a,q1)", "(b,q0)", "(b,q1)"
+        )
+        assert product([x, y], name="P").space.name == "P"
+        prod = product([x, y])
+        assert prod.space.name == "sierpinskixdiscrete2"
+        assert prod.space.point_labels == ("(a,p0)", "(a,p1)", "(b,p0)", "(b,p1)")
+
+    @settings(max_examples=60)
+    @given(spaces(max_points=3), spaces(max_points=3), spaces(max_points=3))
+    def test_memo_matches_a_fresh_build(self, x, y, z):
+        def fresh(space):
+            return space_from_json(space_to_json(space))
+
+        for second, name in ((y, None), (z, None), (y, "P"), (y, None)):
+            got = product([x, second], name=name)
+            want = product([fresh(x), fresh(second)], name=name)
+            assert space_to_json(got.space) == space_to_json(want.space)
+            assert got.sizes == want.sizes
 
 
 class TestPiMultiplicativity:
