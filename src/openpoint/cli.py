@@ -9,10 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import enumeration, metric, products, strategies
-from .game import GameVariant, run_game, solve_game
+from .game import (
+    GameVariant,
+    first_point_picker,
+    random_picker,
+    run_game,
+    solve_game,
+    stalling_picker,
+    table_picker,
+)
 from .invariants import invariant_report
 from .space import TopologyError, load_space, space_from_json, space_to_json
 
@@ -37,9 +46,15 @@ def _variant(name: str) -> GameVariant:
     return {v.value: v for v in GameVariant}[name]
 
 
-def _load_space_arg(path):
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _read(path, load):
+    """``load(path)``, with unreadable files and malformed JSON as usage errors."""
     try:
-        return load_space(path)
+        return load(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -105,20 +120,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def cmd_validate(args, out):
-    space = _load_space_arg(args.space)
+def cmd_validate(args, out, *_):
+    space = _read(args.space, load_space)
     _emit(out, space_to_json(space), args.format)
     return 0
 
 
-def cmd_invariants(args, out):
-    space = _load_space_arg(args.space)
+def cmd_invariants(args, out, *_):
+    space = _read(args.space, load_space)
     _emit(out, invariant_report(space).as_record(space), args.format)
     return 0
 
 
-def cmd_solve(args, out):
-    space = _load_space_arg(args.space)
+def cmd_solve(args, out, *_):
+    space = _read(args.space, load_space)
     table = solve_game(space, _variant(args.variant))
     for rec in table.records():
         _emit(out, rec, args.format)
@@ -147,8 +162,6 @@ def _build_chooser(args, spaces_list, prod, table):
 
 
 def _build_picker(args, space, table):
-    from .game import first_point_picker, random_picker, stalling_picker, table_picker
-
     if args.picker == "random":
         return random_picker
     if args.picker == "first":
@@ -188,9 +201,7 @@ def _interactive_picker(space, err, stdin):
 
 
 def cmd_play(args, out, err, stdin):
-    import random
-
-    spaces_list = [_load_space_arg(p) for p in args.spaces]
+    spaces_list = [_read(p, load_space) for p in args.spaces]
     prod = products.product(spaces_list) if len(spaces_list) > 1 else None
     space = prod.space if prod else spaces_list[0]
     table = solve_game(space, _variant(args.variant))
@@ -226,7 +237,7 @@ def cmd_play(args, out, err, stdin):
     return 0
 
 
-def cmd_enumerate(args, out):
+def cmd_enumerate(args, out, *_):
     if args.mode == "labeled":
         stream = enumeration.enumerate_labeled(args.n, method=args.method)
     else:
@@ -241,7 +252,7 @@ def cmd_enumerate(args, out):
     return 0
 
 
-def cmd_suite(args, out, err):
+def cmd_suite(args, out, err, *_):
     ok, records = enumeration.verify_suite(args.n, checks=args.checks, seed=args.seed)
     sink = open(args.report, "w", encoding="utf-8") if args.report else out
     try:
@@ -255,8 +266,8 @@ def cmd_suite(args, out, err):
     return 0 if ok else 2
 
 
-def cmd_product(args, out):
-    spaces_list = [_load_space_arg(p) for p in args.spaces]
+def cmd_product(args, out, *_):
+    spaces_list = [_read(p, load_space) for p in args.spaces]
     prod = products.product(spaces_list)
     obj = space_to_json(prod.space)
     if args.out:
@@ -268,21 +279,15 @@ def cmd_product(args, out):
     return 0
 
 
-def cmd_fan_check(args, out):
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{args.spec} is not valid JSON: {exc}") from exc
+def cmd_fan_check(args, out, *_):
+    spec = _read(args.spec, _load_json)
     raw = spec.get("factors") if isinstance(spec, dict) else None
     if not isinstance(raw, list) or not raw:
         raise UsageError('fan-check spec needs a non-empty "factors" list')
     if args.kappa < 1:
         raise UsageError(f"--kappa must be at least 1, got {args.kappa}")
     factors = [
-        _load_space_arg(f) if isinstance(f, str) else space_from_json(f)
+        _read(f, load_space) if isinstance(f, str) else space_from_json(f)
         for f in raw
     ]
     verdict = products.fan_tightness_check(
@@ -305,13 +310,8 @@ def cmd_fan_check(args, out):
     return 0 if verdict.holds else 2
 
 
-def cmd_greedy(args, out):
-    try:
-        m = metric.load_metric(args.metric)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.metric}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{args.metric} is not valid JSON: {exc}") from exc
+def cmd_greedy(args, out, *_):
+    m = _read(args.metric, metric.load_metric)
     start = 0
     if args.start is not None:
         if args.start not in m.labels:
@@ -327,6 +327,19 @@ def cmd_greedy(args, out):
     return 0
 
 
+COMMANDS = {
+    "validate": cmd_validate,
+    "invariants": cmd_invariants,
+    "solve": cmd_solve,
+    "play": cmd_play,
+    "enumerate": cmd_enumerate,
+    "suite": cmd_suite,
+    "product": cmd_product,
+    "fan-check": cmd_fan_check,
+    "greedy": cmd_greedy,
+}
+
+
 def run(argv, out=None, err=None, stdin=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
@@ -334,29 +347,8 @@ def run(argv, out=None, err=None, stdin=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "validate":
-            return cmd_validate(args, out)
-        if args.command == "invariants":
-            return cmd_invariants(args, out)
-        if args.command == "solve":
-            return cmd_solve(args, out)
-        if args.command == "play":
-            return cmd_play(args, out, err, stdin)
-        if args.command == "enumerate":
-            return cmd_enumerate(args, out)
-        if args.command == "suite":
-            return cmd_suite(args, out, err)
-        if args.command == "product":
-            return cmd_product(args, out)
-        if args.command == "fan-check":
-            return cmd_fan_check(args, out)
-        if args.command == "greedy":
-            return cmd_greedy(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return 1
-    except TopologyError as exc:
+        return COMMANDS[args.command](args, out, err, stdin)
+    except (UsageError, TopologyError) as exc:
         err.write(f"error: {exc}\n")
         return 1
 

@@ -11,17 +11,46 @@ from __future__ import annotations
 
 from itertools import permutations, product as iter_product
 
+from .game import GameVariant, evaluate_chooser, exact_force_set, solve_game, solved_gd
+from .invariants import (
+    delta,
+    delta_oracle,
+    density,
+    density_brute,
+    invariant_report,
+    pi_weight,
+    pi_weight_brute,
+    tightness,
+    weight,
+    weight_brute,
+)
+from .metric import greedy_run_violations, random_pseudometrics
+from .products import (
+    FanStatus,
+    fan_tightness_check,
+    minimal_open_boxes,
+    minimal_opens_via_preorder,
+    product,
+)
 from .space import (
     FiniteSpace,
-    Preorder,
     TooLarge,
     bits,
+    closure,
+    enumerate_upsets,
     from_preorder,
+    interior,
+    is_dense,
+    minimal_opens,
     space_from_masks,
+    subspace,
+    to_preorder,
 )
+from .strategies import aggregate_chooser, dense_point_picker, pi_base_chooser, product_chooser
 
 FAMILY_METHOD_CAP = 4
 PREORDER_METHOD_CAP = 5
+PAIR_CAP = 3  # pair checks use factors of at most this many points
 
 
 def _label_names(n: int):
@@ -55,7 +84,10 @@ def _family_closure_masks(n: int):
 
 
 def _preorder_masks(n: int):
-    """Opens of every topology, via reflexive transitive relations."""
+    """Opens of every topology: the up-sets of each reflexive transitive relation.
+
+    The families are validated once, as spaces, by ``enumerate_labeled``.
+    """
     if n > PREORDER_METHOD_CAP:
         raise TooLarge(f"preorder generation is capped at n = {PREORDER_METHOD_CAP}")
     row_choices = []
@@ -82,8 +114,7 @@ def _preorder_masks(n: int):
             if not ok:
                 break
         if ok:
-            space = from_preorder(Preorder(n=n, rows=rows))
-            out.append(space.opens)
+            out.append(tuple(enumerate_upsets(n, rows)))
     return sorted(set(out))
 
 
@@ -147,8 +178,6 @@ def enumerate_unlabeled(n: int):
 
 
 def _check_kuratowski(space):
-    from .space import closure
-
     for s in range(space.full + 1):
         cs = closure(space, s)
         if cs & s != s or closure(space, cs) != cs:
@@ -162,8 +191,6 @@ def _check_kuratowski(space):
 
 
 def _check_roundtrip(space):
-    from .space import from_preorder, to_preorder
-
     back = from_preorder(to_preorder(space))
     if back != space:
         return {"rebuilt_opens": list(back.opens)}
@@ -171,8 +198,6 @@ def _check_roundtrip(space):
 
 
 def _check_minimal_opens(space):
-    from .space import minimal_opens
-
     mins = minimal_opens(space)
     for i, a in enumerate(mins):
         for b in mins[i + 1:]:
@@ -185,8 +210,6 @@ def _check_minimal_opens(space):
 
 
 def _check_chain(space):
-    from .invariants import invariant_report
-
     rep = invariant_report(space)
     ok = rep.chain_ok and rep.t == 1
     if space.n >= 2:
@@ -197,8 +220,6 @@ def _check_chain(space):
 
 
 def _check_collapse(space):
-    from .invariants import invariant_report
-
     rep = invariant_report(space)
     if not rep.collapsed:
         return rep.as_record(space)
@@ -206,18 +227,6 @@ def _check_collapse(space):
 
 
 def _check_oracles(space):
-    from .invariants import (
-        delta,
-        delta_oracle,
-        density,
-        density_brute,
-        pi_weight,
-        pi_weight_brute,
-        tightness,
-        weight,
-        weight_brute,
-    )
-
     pairs = {
         "d": (density(space), density_brute(space)),
         "pi": (pi_weight(space), pi_weight_brute(space)),
@@ -230,8 +239,6 @@ def _check_oracles(space):
 
 
 def _check_variants(space):
-    from .game import GameVariant, solved_gd
-
     gd_r = solved_gd(space, GameVariant.RESTRICTED)
     gd_f = solved_gd(space, GameVariant.FREE)
     gd_m = solved_gd(space, GameVariant.MULTI_POINT)
@@ -241,9 +248,6 @@ def _check_variants(space):
 
 
 def _check_exact_force(space):
-    from .game import exact_force_set, solved_gd
-    from .invariants import delta, density
-
     forced = exact_force_set(space)
     gd = solved_gd(space)
     d = density(space)
@@ -255,10 +259,6 @@ def _check_exact_force(space):
 
 
 def _check_pi_base_bound(space):
-    from .game import evaluate_chooser
-    from .invariants import pi_weight
-    from .strategies import pi_base_chooser
-
     worst = evaluate_chooser(space, pi_base_chooser(space))
     if worst != pi_weight(space):
         return {"worst": worst, "pi": pi_weight(space)}
@@ -266,8 +266,6 @@ def _check_pi_base_bound(space):
 
 
 def _check_value_monotone(space):
-    from .game import solve_game
-
     table = solve_game(space)
     states = sorted(table.value)
     for a in states:
@@ -278,9 +276,6 @@ def _check_value_monotone(space):
 
 
 def _check_subspace_monotone(space):
-    from .game import solve_game, solved_gd
-    from .space import closure, interior, is_dense, subspace
-
     gd = solved_gd(space)
     subjects = {u for u in space.opens if u}
     subjects |= {a for a in range(1, space.full + 1) if is_dense(space, a)}
@@ -295,10 +290,6 @@ def _check_subspace_monotone(space):
 
 
 def _check_dense_lower_bound(space):
-    from .invariants import density
-    from .space import is_dense, subspace
-    from .strategies import dense_point_picker
-
     if space.n > 4:
         return None
     clpt = space.point_closures()
@@ -343,10 +334,6 @@ SPACE_CHECKS = {
 
 
 def _check_pair_product(x, y):
-    from .invariants import pi_weight
-    from .products import minimal_open_boxes, minimal_opens_via_preorder, product
-    from .space import minimal_opens
-
     prod = product([x, y])
     mins = minimal_opens(prod.space)
     boxes = minimal_open_boxes(prod)
@@ -359,9 +346,6 @@ def _check_pair_product(x, y):
 
 
 def _check_pair_gd(x, y):
-    from .game import solved_gd
-    from .products import product
-
     prod = product([x, y])
     lhs = solved_gd(prod.space)
     rhs = solved_gd(x) * solved_gd(y)
@@ -371,11 +355,6 @@ def _check_pair_gd(x, y):
 
 
 def _check_pair_strategies(x, y):
-    from .game import evaluate_chooser, solved_gd
-    from .invariants import pi_weight
-    from .products import product
-    from .strategies import aggregate_chooser, product_chooser
-
     prod = product([x, y])
     gd_prod = solved_gd(prod.space)
     gd_bound = solved_gd(x) * solved_gd(y)
@@ -390,10 +369,6 @@ def _check_pair_strategies(x, y):
 
 
 def _check_pair_fan_link(x, y):
-    from .game import evaluate_chooser, solved_gd
-    from .products import FanStatus, fan_tightness_check, product
-    from .strategies import aggregate_chooser
-
     gd_x, gd_y = solved_gd(x), solved_gd(y)
     kappa = max(2, gd_x, gd_y)
     verdict = fan_tightness_check([x, y], kappa, "boxes")
@@ -418,8 +393,6 @@ PAIR_CHECKS = {
 
 
 def _check_metric(seed: int):
-    from .metric import greedy_run_violations, random_pseudometrics
-
     for sp in random_pseudometrics(count=20, max_points=8, seed=seed):
         bad = greedy_run_violations(sp)
         if bad:
@@ -427,12 +400,12 @@ def _check_metric(seed: int):
     return None
 
 
-def verify_suite(n: int, checks="all", seed: int = 0, pair_cap: int = 3):
+def verify_suite(n: int, checks="all", seed: int = 0):
     """Run the selected checks over the exhaustive corpus for size n.
 
     Space-level checks run on every labeled topology of exactly n points;
     pair-level checks run over all ordered pairs built from factors of at
-    most min(n, pair_cap) points.  Returns (ok, records): one record per
+    most min(n, PAIR_CAP) points.  Returns (ok, records): one record per
     (subject, check) with a pass/fail status and a counterexample payload
     on failure.  Failures are data, not exceptions.
     """
@@ -448,44 +421,35 @@ def verify_suite(n: int, checks="all", seed: int = 0, pair_cap: int = 3):
         live_pair = {k: v for k, v in live_pair.items() if k in wanted}
         want_metric = "metric" in wanted
 
-    spaces = list(enumerate_labeled(n))
     pair_spaces = [
-        s for size in range(1, min(n, pair_cap) + 1) for s in enumerate_labeled(size)
+        s for size in range(1, min(n, PAIR_CAP) + 1) for s in enumerate_labeled(size)
     ]
-
-    def space_jobs():
-        for space in spaces:
-            for name, fn in live_space.items():
-                yield (space.name, name, fn, (space,))
-
-    def pair_jobs():
-        for x in pair_spaces:
-            for y in pair_spaces:
-                for name, fn in live_pair.items():
-                    yield (f"{x.name}*{y.name}", name, fn, (x, y))
-
-    tasks = list(space_jobs()) + list(pair_jobs())
+    jobs = [
+        (space.name, name, fn, (space,))
+        for space in enumerate_labeled(n)
+        for name, fn in live_space.items()
+    ]
+    jobs += [
+        (f"{x.name}*{y.name}", name, fn, (x, y))
+        for x in pair_spaces
+        for y in pair_spaces
+        for name, fn in live_pair.items()
+    ]
     if want_metric:
-        tasks.append(("metric-corpus", "metric", lambda s=seed: _check_metric(s), ()))
+        jobs.append(("metric-corpus", "metric", _check_metric, (seed,)))
 
-    def run_one(task):
-        subject, name, fn, args = task
+    records = []
+    for subject, name, fn, args in jobs:
         detail = fn(*args)
         note = None
         if isinstance(detail, dict) and set(detail) == {"_note"}:
             note, detail = detail["_note"], None
-        rec = {
-            "subject": subject,
-            "check": name,
-            "status": "fail" if detail else "pass",
-        }
+        rec = {"subject": subject, "check": name, "status": "fail" if detail else "pass"}
         if detail:
             rec["detail"] = detail
         if note:
             rec["note"] = note
-        return rec
-
-    records = [run_one(t) for t in tasks]
+        records.append(rec)
     records.sort(key=lambda r: (r["subject"], r["check"]))
     ok = all(r["status"] == "pass" for r in records)
     return ok, records

@@ -11,6 +11,7 @@ position.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -164,13 +165,6 @@ def solved_gd(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED)
     return got
 
 
-def _close(clpt, mask: int) -> int:
-    out = 0
-    for x in bits(mask):
-        out |= clpt[x]
-    return out
-
-
 def exact_force_set(space: FiniteSpace) -> frozenset[int]:
     """Lengths the chooser can force the game to have exactly.
 
@@ -262,7 +256,6 @@ def evaluate_chooser(space: FiniteSpace, policy, variant: GameVariant = GameVari
     which only happens for policies that allow the picker to stall.
     """
     chooser = as_chooser(policy)
-    clpt = space.point_closures()
     full = space.full
     memo: dict = {}
 
@@ -282,7 +275,7 @@ def evaluate_chooser(space: FiniteSpace, policy, variant: GameVariant = GameVari
             replies = [1 << x for x in bits(move)]
         val: float = 0
         for picks in replies:
-            nxt = closed | _close(clpt, picks)
+            nxt = closed | space.closure_of(picks)
             if nxt == closed:
                 val = INFINITE
                 break
@@ -337,7 +330,6 @@ def run_game(space: FiniteSpace, chooser_policy, picker, variant: GameVariant,
     offer, so interactive front-ends can echo the growing closure live.
     """
     chooser = as_chooser(chooser_policy)
-    clpt = space.point_closures()
     full = space.full
     closed, state, stage = 0, chooser.initial_state(), 0
     steps: list[Step] = []
@@ -346,7 +338,7 @@ def run_game(space: FiniteSpace, chooser_policy, picker, variant: GameVariant,
         _check_offer(space, closed, move, variant)
         picks = picker(closed, move, stage, rng)
         _check_pick(space, closed, move, picks, variant)
-        nxt = closed | _close(clpt, picks)
+        nxt = closed | space.closure_of(picks)
         if nxt == closed:
             raise InvariantViolation("play stalled: the closure stopped growing")
         state = chooser.observe(state, closed, move, picks)
@@ -363,8 +355,6 @@ def run_game(space: FiniteSpace, chooser_policy, picker, variant: GameVariant,
 
 def play_transcript(space: FiniteSpace, chooser_policy, picker,
                     variant: GameVariant = GameVariant.RESTRICTED, seed: int = 0) -> Transcript:
-    import random
-
     transcript, _ = run_game(space, chooser_policy, picker, variant, rng=random.Random(seed))
     return transcript
 

@@ -9,9 +9,12 @@ which is why its run length equals the class count.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .game import solve_game
+from .invariants import delta, density, pi_weight, weight
 from .space import FiniteSpace, TopologyError, closure, space_from_masks
 
 
@@ -144,9 +147,6 @@ def _mask(points) -> int:
 
 def greedy_run_violations(m: PseudometricSpace, start: int = 0) -> list[str]:
     """Check every promised property of one greedy run; empty means clean."""
-    from .game import solve_game
-    from .invariants import delta, density, pi_weight, weight
-
     run = greedy_dense_sequence(m, start)
     out = []
     for a, b in zip(run.radii, run.radii[1:]):
@@ -176,8 +176,6 @@ def random_pseudometrics(count: int, max_points: int, seed: int):
     (collisions give zero-distance classes) and min-plus closures of random
     symmetric matrices.
     """
-    import random
-
     rng = random.Random(seed)
     for idx in range(count):
         n = rng.randint(1, max_points)

@@ -123,10 +123,7 @@ def _build_product(factors, name):
         for i in range(total)
     ]
     pname = name or "x".join(f.name for f in factors)
-    space = space_from_masks(
-        pname, labels, opens, max_points=POINTS_CAP,
-        check_lattice=len(opens) <= 1024,  # up-sets are lattice-closed by construction
-    )
+    space = space_from_masks(pname, labels, opens, max_points=POINTS_CAP)
     return ProductSpace(factors=factors, space=space, sizes=sizes)
 
 

@@ -138,14 +138,9 @@ class FiniteSpace:
         """Smallest open set containing x, for every point x."""
         got = self._cache.get("min_nbhd")
         if got is None:
-            out = []
-            for x in range(self.n):
-                nbhd = self.full
-                for u in self.opens:
-                    if u >> x & 1:
-                        nbhd &= u
-                out.append(nbhd)
-            got = tuple(out)
+            # a throwaway set: the cached one of is_open would then outlive
+            # this call on spaces that never test an open
+            got = _min_neighborhoods(self.n, self.opens, set(self.opens))
             self._cache["min_nbhd"] = got
         return got
 
@@ -158,14 +153,44 @@ class FiniteSpace:
         return out
 
 
+def _min_neighborhoods(n: int, opens, members) -> tuple[int, ...]:
+    """N(x), the intersection of the opens containing x, for every point x.
+
+    ``opens`` is increasing and ``members`` holds the same masks.  Each
+    running intersection, started from the full set, must be a member;
+    the first that is not raises NotClosedUnderIntersection on the
+    intersection so far and the next open, both members.
+    """
+    out = []
+    for x in range(n):
+        nbhd = (1 << n) - 1
+        for u in opens:
+            if u >> x & 1:
+                meet = nbhd & u
+                if meet not in members:
+                    raise NotClosedUnderIntersection(sorted(bits(nbhd)), sorted(bits(u)))
+                nbhd = meet
+        out.append(nbhd)
+    return tuple(out)
+
+
 def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int],
-                     max_points: int = MAX_POINTS, check_lattice: bool = True) -> FiniteSpace:
+                     max_points: int = MAX_POINTS) -> FiniteSpace:
     """Build a FiniteSpace from bitmask opens, checking every axiom.
 
     ``max_points`` defaults to the one-word cap; product constructions lift
-    it since they stay index-encoded either way.  ``check_lattice=False``
-    skips the quadratic union/intersection scan for families produced by an
-    up-set enumeration, which are closed by construction.
+    it since they stay index-encoded either way.
+
+    A family F holding the empty and the full set is closed under union and
+    intersection exactly when (a) every minimal neighbourhood N(x), the
+    intersection of the members containing x, is in F, and (b) U | N(x) is
+    in F for every U in F and every point x.  Each U in F is the union of
+    the N(x) over x in U; by (b) every such union is in F; and y in N(x)
+    gives N(y) <= N(x), so these unions are closed under intersection too.
+    The check costs O(n * |F|) set lookups, the order of the up-set
+    enumeration that builds a product, so every space is checked whatever
+    its size.  A failure names a pair of members whose union or
+    intersection is missing.
     """
     labels = tuple(point_labels)
     n = len(labels)
@@ -176,19 +201,17 @@ def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int
     if len(set(labels)) != n:
         raise DuplicateLabel(f"point labels {labels} contain a duplicate")
     full = (1 << n) - 1
-    family = sorted(set(opens))
+    members = set(opens)
+    family = sorted(members)
     if family and (family[0] < 0 or family[-1] > full):
         raise TopologyError("an open uses bits outside the point range")
-    if 0 not in family or full not in family:
+    if 0 not in members or full not in members:
         raise MissingEmptyOrFull("the empty set and the full set must both be open")
-    if check_lattice:
-        fam_set = set(family)
-        for i, a in enumerate(family):
-            for b in family[i + 1:]:
-                if a | b not in fam_set:
-                    raise NotClosedUnderUnion(sorted(bits(a)), sorted(bits(b)))
-                if a & b not in fam_set:
-                    raise NotClosedUnderIntersection(sorted(bits(a)), sorted(bits(b)))
+    nbhds = sorted(set(_min_neighborhoods(n, family, members)))
+    for u in family:
+        for nbhd in nbhds:
+            if u | nbhd not in members:
+                raise NotClosedUnderUnion(sorted(bits(u)), sorted(bits(nbhd)))
     return FiniteSpace(name=name, n=n, point_labels=labels, opens=tuple(family))
 
 

@@ -129,8 +129,7 @@ class ProductChooser:
         self.base = base
         self.sub = as_chooser(sub_y)
         self.variant = variant
-        self.y_full = prod.factors[1].full
-        self.y_clpt = prod.factors[1].point_closures()
+        self.y_space = prod.factors[1]
 
     def initial_state(self):
         subgames = tuple((0, self.sub.initial_state()) for _ in self.base.members)
@@ -140,7 +139,7 @@ class ProductChooser:
         cursor, subgames = state
         for step in range(len(subgames)):
             idx = (cursor + step) % len(subgames)
-            if subgames[idx][0] != self.y_full:
+            if subgames[idx][0] != self.y_space.full:
                 return idx
         return None
 
@@ -150,7 +149,7 @@ class ProductChooser:
             # unreachable for a true pi-base: all sub-games done means dense
             if self.variant is GameVariant.FREE:
                 cursor = state[0] % len(self.base.members)
-                return self.prod.box_mask([self.base.members[cursor], self.y_full])
+                return self.prod.box_mask([self.base.members[cursor], self.y_space.full])
             raise InvariantViolation("all sub-games finished before the game ended")
         y_closed, sub_state = state[1][idx]
         v = self.sub.choose(y_closed, sub_state)
@@ -164,9 +163,7 @@ class ProductChooser:
         y_closed, sub_state = subgames[idx]
         v = self.prod.proj_mask(move, 1)
         y_picks = self.prod.proj_mask(picks, 1)
-        grown = y_closed
-        for y in bits(y_picks):
-            grown |= self.y_clpt[y]
+        grown = y_closed | self.y_space.closure_of(y_picks)
         sub_state = self.sub.observe(sub_state, y_closed, v, y_picks)
         subgames = subgames[:idx] + ((grown, sub_state),) + subgames[idx + 1:]
         return ((idx + 1) % len(subgames), subgames)
@@ -276,7 +273,6 @@ class AggregateChooser:
             elif gamma not in self.subproducts:
                 self.subproducts[gamma] = product([self.spaces[g] for g in gamma])
         self.fmins = [minimal_opens(f) for f in self.spaces]
-        self.fclpt = [f.point_closures() for f in self.spaces]
         self.pools = {}
         for gamma in self.subproducts:
             sub = self.subproducts[gamma]
@@ -308,13 +304,6 @@ class AggregateChooser:
         sub = self.subproducts[gamma]
         return sub.space.closure_of(self._gamma_proj(gamma, picks)) == sub.space.full
 
-    def _coord_closed(self, g: int, picks: int) -> int:
-        proj = self.prod.proj_mask(picks, g)
-        out = 0
-        for x in bits(proj):
-            out |= self.fclpt[g][x]
-        return out
-
     def _plan(self, state: AggState) -> Plan:
         picks = state.picks
         phase = state.phase
@@ -323,7 +312,7 @@ class AggregateChooser:
         if phase == len(self.gammas):
             raise InvariantViolation("asked for a move after every phase target was met")
         gamma = self.gammas[phase]
-        closeds = {g: self._coord_closed(g, picks) for g in gamma}
+        closeds = {g: self.spaces[g].closure_of(self.prod.proj_mask(picks, g)) for g in gamma}
         active = tuple(g for g in gamma if closeds[g] != self.spaces[g].full)
         parts = [None] * len(self.spaces)
         if active:

@@ -55,6 +55,13 @@ class TestValidate:
         code, out, err = invoke(["validate", str(bad)])
         assert code == 1 and "error" in err
 
+    def test_intersection_violation_fails(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "bad", "points": ["a", "b", "c"],
+                                   "opens": [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]]}))
+        code, out, err = invoke(["validate", str(bad)])
+        assert code == 1 and not out and "intersection of opens [0, 1] and [1, 2]" in err
+
 
 class TestInvariants:
     def test_sierpinski_record(self, sierpinski_file):

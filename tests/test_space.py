@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from openpoint.space import (
     DuplicateLabel,
     EmptySubspace,
     MissingEmptyOrFull,
+    NotClosedUnderIntersection,
     NotClosedUnderUnion,
     NotReflexive,
     NotTransitive,
@@ -29,7 +30,33 @@ from openpoint.space import (
 )
 
 from .conftest import make_chain, make_discrete, make_indiscrete, make_two_sierpinski
-from .util import space_and_subset, spaces
+from .util import close_family, space_and_subset, spaces
+
+
+def _mask(points):
+    out = 0
+    for p in points:
+        out |= 1 << p
+    return out
+
+
+def _pairwise_closed(family):
+    """The definition itself: every pairwise union and intersection is a member."""
+    members = set(family)
+    return all(a | b in members and a & b in members for a in family for b in family)
+
+
+@st.composite
+def families(draw, max_points=5):
+    """Subset families holding the empty and the full set, closed or nearly so."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    full = (1 << n) - 1
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=full), max_size=8))
+    family = set(close_family(n, seeds)) if draw(st.booleans()) else {0, full, *seeds}
+    dropped = draw(st.sampled_from(sorted(family)))
+    if dropped not in (0, full) and draw(st.booleans()):
+        family.discard(dropped)
+    return n, sorted(family)
 
 
 class TestValidate:
@@ -41,6 +68,26 @@ class TestValidate:
         with pytest.raises(NotClosedUnderUnion) as err:
             validate_topology(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b", "c"]])
         assert sorted(err.value.pair) == [[0], [1]]
+
+    def test_intersection_violation_reported(self):
+        with pytest.raises(NotClosedUnderIntersection) as err:
+            validate_topology(["a", "b", "c"], [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]])
+        assert err.value.pair == ([0, 1], [1, 2])
+
+    @given(families())
+    def test_accepts_exactly_the_pairwise_closed_families(self, drawn):
+        n, family = drawn
+        members = set(family)
+        try:
+            space_from_masks("f", [f"p{i}" for i in range(n)], family)
+        except NotClosedUnderUnion as err:
+            a, b = map(_mask, err.pair)
+            assert a in members and b in members and a | b not in members
+        except NotClosedUnderIntersection as err:
+            a, b = map(_mask, err.pair)
+            assert a in members and b in members and a & b not in members
+        else:
+            assert _pairwise_closed(family)
 
     def test_missing_empty_or_full(self):
         with pytest.raises(MissingEmptyOrFull):
