@@ -13,15 +13,12 @@ from itertools import permutations, product as iter_product
 
 from .game import GameVariant, evaluate_chooser, exact_force_set, solve_game, solved_gd
 from .invariants import (
-    delta,
     delta_oracle,
     density,
     density_brute,
     invariant_report,
     pi_weight,
     pi_weight_brute,
-    tightness,
-    weight,
     weight_brute,
 )
 from .metric import greedy_run_violations, random_pseudometrics
@@ -227,12 +224,13 @@ def _check_collapse(space):
 
 
 def _check_oracles(space):
+    rep = invariant_report(space)
     pairs = {
-        "d": (density(space), density_brute(space)),
-        "pi": (pi_weight(space), pi_weight_brute(space)),
-        "w": (weight(space), weight_brute(space)),
-        "delta": (delta(space), delta_oracle(space)),
-        "t": (tightness(space), 1),
+        "d": (rep.d, density_brute(space)),
+        "pi": (rep.pi, pi_weight_brute(space)),
+        "w": (rep.w, weight_brute(space)),
+        "delta": (rep.delta, delta_oracle(space)),
+        "t": (rep.t, 1),
     }
     bad = {k: v for k, v in pairs.items() if v[0] != v[1]}
     return bad or None
@@ -249,12 +247,10 @@ def _check_variants(space):
 
 def _check_exact_force(space):
     forced = exact_force_set(space)
-    gd = solved_gd(space)
-    d = density(space)
-    dl = delta(space)
+    rep = invariant_report(space)
     for k in forced:
-        if not k == gd == dl == d:
-            return {"forced": sorted(forced), "gd": gd, "delta": dl, "d": d}
+        if not k == rep.gd == rep.delta == rep.d:
+            return {"forced": sorted(forced), "gd": rep.gd, "delta": rep.delta, "d": rep.d}
     return None
 
 

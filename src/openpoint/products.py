@@ -17,6 +17,7 @@ from .space import (
     TooLarge,
     bits,
     enumerate_upsets,
+    inclusion_minimal,
     minimal_opens,
     space_from_masks,
     subspace,
@@ -141,13 +142,7 @@ def minimal_opens_via_preorder(factors) -> tuple[int, ...]:
     """
     factors = tuple(factors)
     sizes = tuple(f.n for f in factors)
-    rows = _product_succ(factors, sizes)
-    candidates = sorted(set(rows), key=lambda m: (m.bit_count(), m))
-    out = []
-    for cand in candidates:
-        if not any(kept & cand == kept for kept in out):
-            out.append(cand)
-    return tuple(sorted(out))
+    return inclusion_minimal(_product_succ(factors, sizes))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ Points are indices 0..n-1; a set of points is one int whose bit i means
 "point i is in the set".  A space stores its complete family of open sets,
 sorted by bitmask value, which makes space equality a plain tuple
 comparison and keeps every set operation a single machine-word op.
+
+A space also stores the minimal neighbourhood N(x) of every point, kept
+from validation.  Point closures, ``is_open``, ``interior``,
+``minimal_opens`` and the specialization preorder all derive from these
+rows (the Alexandrov correspondence); ``closure`` alone scans the open
+lattice, as the oracle the derived routes are checked against.
 """
 
 from __future__ import annotations
@@ -79,14 +85,16 @@ class FiniteSpace:
 
     ``opens`` is the full open-set family as a strictly increasing tuple of
     bitmasks; it always contains 0 (empty set) and ``full`` (all points).
-    Instances are immutable and safe to share; two spaces compare equal when
-    they have the same point count and the same opens, labels aside.
+    ``nbhds[x]`` is N(x), the smallest open containing point x.  Instances
+    are immutable and safe to share; two spaces compare equal when they
+    have the same point count and the same opens, labels aside.
     """
 
     name: str
     n: int
     point_labels: tuple[str, ...]
     opens: tuple[int, ...]
+    nbhds: tuple[int, ...]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -117,32 +125,25 @@ class FiniteSpace:
         return mask
 
     def is_open(self, mask: int) -> bool:
-        return mask in self._open_set()
-
-    def _open_set(self) -> frozenset[int]:
-        got = self._cache.get("open_set")
-        if got is None:
-            got = frozenset(self.opens)
-            self._cache["open_set"] = got
-        return got
+        """Whether ``mask`` is an up-set: N(x) inside it for each x in it."""
+        if not 0 <= mask <= self.full:
+            return False
+        return all(self.nbhds[x] & ~mask == 0 for x in bits(mask))
 
     def point_closures(self) -> tuple[int, ...]:
-        """closure({x}) for every point x, as a tuple indexed by x."""
+        """closure({x}) = {y : x in N(y)} for every point x, indexed by x."""
         got = self._cache.get("point_closures")
         if got is None:
-            got = tuple(closure(self, 1 << x) for x in range(self.n))
-            self._cache["point_closures"] = got
+            out = [0] * self.n
+            for y, nbhd in enumerate(self.nbhds):
+                for x in bits(nbhd):
+                    out[x] |= 1 << y
+            got = self._cache["point_closures"] = tuple(out)
         return got
 
     def min_neighborhoods(self) -> tuple[int, ...]:
         """Smallest open set containing x, for every point x."""
-        got = self._cache.get("min_nbhd")
-        if got is None:
-            # a throwaway set: the cached one of is_open would then outlive
-            # this call on spaces that never test an open
-            got = _min_neighborhoods(self.n, self.opens, set(self.opens))
-            self._cache["min_nbhd"] = got
-        return got
+        return self.nbhds
 
     def closure_of(self, mask: int) -> int:
         """Additive closure via cached point closures (hot-path variant)."""
@@ -190,7 +191,7 @@ def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int
     The check costs O(n * |F|) set lookups, the order of the up-set
     enumeration that builds a product, so every space is checked whatever
     its size.  A failure names a pair of members whose union or
-    intersection is missing.
+    intersection is missing.  The N(x) are kept on the space as ``nbhds``.
     """
     labels = tuple(point_labels)
     n = len(labels)
@@ -207,12 +208,13 @@ def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int
         raise TopologyError("an open uses bits outside the point range")
     if 0 not in members or full not in members:
         raise MissingEmptyOrFull("the empty set and the full set must both be open")
-    nbhds = sorted(set(_min_neighborhoods(n, family, members)))
+    nbhds = _min_neighborhoods(n, family, members)
+    distinct = sorted(set(nbhds))
     for u in family:
-        for nbhd in nbhds:
+        for nbhd in distinct:
             if u | nbhd not in members:
                 raise NotClosedUnderUnion(sorted(bits(u)), sorted(bits(nbhd)))
-    return FiniteSpace(name=name, n=n, point_labels=labels, opens=tuple(family))
+    return FiniteSpace(name=name, n=n, point_labels=labels, opens=tuple(family), nbhds=nbhds)
 
 
 def validate_topology(point_labels, raw_opens, name: str = "space") -> FiniteSpace:
@@ -246,11 +248,11 @@ def closure(space: FiniteSpace, subset: int) -> int:
 
 
 def interior(space: FiniteSpace, subset: int) -> int:
-    """Largest open set contained in ``subset``."""
+    """Largest open set contained in ``subset``: the union of the N(x) inside it."""
     inner = 0
-    for u in space.opens:
-        if u & subset == u:
-            inner |= u
+    for nbhd in space.nbhds:
+        if nbhd & subset == nbhd:
+            inner |= nbhd
     return inner
 
 
@@ -265,16 +267,18 @@ def minimal_opens(space: FiniteSpace) -> tuple[int, ...]:
     topology, and together they form the unique smallest pi-base.
     """
     got = space._cache.get("minimal_opens")
-    if got is not None:
-        return got
-    candidates = sorted(set(space.min_neighborhoods()), key=lambda m: (popcount(m), m))
+    if got is None:
+        got = space._cache["minimal_opens"] = inclusion_minimal(space.nbhds)
+    return got
+
+
+def inclusion_minimal(rows) -> tuple[int, ...]:
+    """The inclusion-minimal masks among ``rows``, in increasing bitmask order."""
     out: list[int] = []
-    for cand in candidates:
+    for cand in sorted(set(rows), key=lambda m: (popcount(m), m)):
         if not any(kept & cand == kept for kept in out):
             out.append(cand)
-    got = tuple(sorted(out))
-    space._cache["minimal_opens"] = got
-    return got
+    return tuple(sorted(out))
 
 
 def _compress(mask: int, members: list[int]) -> int:
@@ -308,15 +312,8 @@ class Preorder:
 
 
 def to_preorder(space: FiniteSpace) -> Preorder:
-    pts = space.point_closures()
-    rows = []
-    for x in range(space.n):
-        row = 0
-        for y in range(space.n):
-            if pts[y] >> x & 1:  # x in closure({y})
-                row |= 1 << y
-        rows.append(row)
-    return Preorder(n=space.n, rows=tuple(rows))
+    # x in closure({y})  <=>  y in N(x), so the rows are the N(x)
+    return Preorder(n=space.n, rows=space.nbhds)
 
 
 def enumerate_upsets(n: int, succ, cap: int | None = None) -> list[int]:
@@ -413,7 +410,17 @@ def space_from_json(obj: dict) -> FiniteSpace:
         opens = obj["opens"]
     except (KeyError, TypeError) as exc:
         raise TopologyError(f"space object is missing field {exc}") from exc
+    if not isinstance(name, str):
+        raise TopologyError('field "name" must be a string')
+    if not _is_str_list(points):
+        raise TopologyError('field "points" must be a list of strings')
+    if not isinstance(opens, list) or not all(_is_str_list(u) for u in opens):
+        raise TopologyError('field "opens" must be a list of lists of strings')
     return validate_topology(points, opens, name=name)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def load_space(path) -> FiniteSpace:

@@ -62,6 +62,23 @@ class TestValidate:
         code, out, err = invoke(["validate", str(bad)])
         assert code == 1 and not out and "intersection of opens [0, 1] and [1, 2]" in err
 
+    @pytest.mark.parametrize("field, patch", [
+        ("points", {"points": "ab"}),
+        ("opens", {"opens": [[], ["b"], "ab"]}),
+        ("points", {"points": [0, 1], "opens": [[], [0, 1]]}),
+        ("name", {"name": 7}),
+        ("opens", {"opens": [[], [["b"]], ["a", "b"]]}),
+        ("opens", {"opens": 5}),
+    ], ids=["points-string", "open-string", "integer-labels", "integer-name",
+            "nested-open", "opens-integer"])
+    def test_malformed_schema_fails(self, tmp_path, field, patch):
+        obj = {"name": "s", "points": ["a", "b"], "opens": [[], ["b"], ["a", "b"]]}
+        obj.update(patch)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = invoke(["validate", str(bad)])
+        assert code == 1 and not out and f'field "{field}"' in err
+
 
 class TestInvariants:
     def test_sierpinski_record(self, sierpinski_file):
@@ -198,6 +215,12 @@ class TestFanCheck:
         spec.write_text(json.dumps([sierpinski_file]))
         code, out, err = invoke(["fan-check", str(spec), "--kappa", "1"])
         assert code == 1 and not out and '"factors"' in err
+
+    def test_malformed_factor_object_fails(self, tmp_path):
+        spec = tmp_path / "fan.json"
+        spec.write_text(json.dumps({"factors": [{"name": "s", "points": "ab", "opens": []}]}))
+        code, out, err = invoke(["fan-check", str(spec), "--kappa", "1"])
+        assert code == 1 and not out and 'field "points"' in err
 
     def test_kappa_zero_is_usage_error(self, tmp_path, sierpinski_file):
         spec = tmp_path / "fan.json"

@@ -146,6 +146,34 @@ class TestClosure:
         assert interior(space, s) == space.full ^ closure(space, space.full ^ s)
 
 
+class TestStoredNeighbourhoods:
+    """The routes derived from the stored N(x), against the open lattice."""
+
+    @given(spaces())
+    def test_rows_are_intersections_of_the_opens(self, space):
+        for x in range(space.n):
+            meet = space.full
+            for u in space.opens:
+                if u >> x & 1:
+                    meet &= u
+            assert space.min_neighborhoods()[x] == meet
+
+    @given(spaces())
+    def test_is_open_matches_the_open_family(self, space):
+        opens = set(space.opens)
+        for m in range(-1, space.full + 2):
+            assert space.is_open(m) == (m in opens)
+
+    @given(spaces())
+    def test_point_closures_match_the_lattice_scan(self, space):
+        for x in range(space.n):
+            assert space.point_closures()[x] == closure(space, 1 << x)
+
+    @given(spaces())
+    def test_preorder_rows_are_the_neighbourhoods(self, space):
+        assert to_preorder(space).rows == space.min_neighborhoods()
+
+
 class TestSubspace:
     def test_single_point(self, sierpinski):
         sub = subspace(sierpinski, 0b01)
