@@ -23,7 +23,7 @@ from .game import (
     table_picker,
 )
 from .invariants import invariant_report
-from .space import TopologyError, load_space, space_from_json, space_to_json
+from .space import TopologyError, load_space, save_space, space_from_json, space_to_json
 
 
 class UsageError(Exception):
@@ -269,13 +269,10 @@ def cmd_suite(args, out, err, *_):
 def cmd_product(args, out, *_):
     spaces_list = [_read(p, load_space) for p in args.spaces]
     prod = products.product(spaces_list)
-    obj = space_to_json(prod.space)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-            fh.write("\n")
+        save_space(prod.space, args.out)
     else:
-        _emit(out, obj, args.format)
+        _emit(out, space_to_json(prod.space), args.format)
     return 0
 
 

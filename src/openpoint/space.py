@@ -393,14 +393,10 @@ def is_t1(space: FiniteSpace) -> bool:
 # ---------------------------------------------------------------------------
 
 def space_to_json(space: FiniteSpace) -> dict:
-    def key(mask: int):
-        return (popcount(mask), sorted(space.label_set(mask)))
-
-    return {
-        "name": space.name,
-        "points": list(space.point_labels),
-        "opens": [sorted(space.label_set(m)) for m in sorted(space.opens, key=key)],
-    }
+    """Opens are listed by size, then by their sorted labels."""
+    opens = [sorted(space.label_set(m)) for m in space.opens]
+    opens.sort(key=lambda labels: (len(labels), labels))
+    return {"name": space.name, "points": list(space.point_labels), "opens": opens}
 
 
 def space_from_json(obj: dict) -> FiniteSpace:
@@ -429,6 +425,6 @@ def load_space(path) -> FiniteSpace:
 
 
 def save_space(space: FiniteSpace, path) -> None:
+    # json.dumps encodes in C; json.dump to a stream runs the pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_json(space), fh)
-        fh.write("\n")
+        fh.write(json.dumps(space_to_json(space)) + "\n")

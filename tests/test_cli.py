@@ -193,6 +193,13 @@ class TestProduct:
         prod = space_from_json(json.loads(out_path.read_text()))
         assert prod.n == 4 and len(prod.opens) == 9
 
+    def test_product_file_is_the_space_object_on_one_line(self, tmp_path, sierpinski_file,
+                                                          discrete2_file):
+        out_path = tmp_path / "prod.json"
+        invoke(["product", discrete2_file, sierpinski_file, "-o", str(out_path)])
+        _, text, _ = invoke(["product", discrete2_file, sierpinski_file])
+        assert out_path.read_text() == json.dumps(json.loads(text)) + "\n"
+
 
 class TestFanCheck:
     def test_holds_exit_zero(self, tmp_path):

@@ -327,6 +327,7 @@ class TestJsonRoundtrip:
         sizes = [len(o) for o in obj["opens"]]
         assert sizes == sorted(sizes)
         assert obj["opens"][0] == []
+        assert obj["opens"] == sorted(obj["opens"], key=lambda o: (len(o), o))
 
     def test_reader_accepts_any_order(self, sierpinski):
         obj = {"name": "s", "points": ["a", "b"], "opens": [["a", "b"], [], ["b"]]}
