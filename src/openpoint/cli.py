@@ -111,7 +111,6 @@ def build_parser() -> _Parser:
     p.add_argument("spec", help='JSON file {"factors": [space-or-path, ...]}')
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--pool", choices=["boxes", "all"], default="boxes")
-    p.add_argument("--reading", choices=["a", "union"], default="a")
 
     p = sub.add_parser("greedy", help="run the greedy dense sequence on a metric file")
     p.add_argument("metric")
@@ -253,7 +252,10 @@ def cmd_enumerate(args, out, *_):
 
 
 def cmd_suite(args, out, err, *_):
-    ok, records = enumeration.verify_suite(args.n, checks=args.checks, seed=args.seed)
+    try:
+        ok, records = enumeration.verify_suite(args.n, checks=args.checks, seed=args.seed)
+    except enumeration.UnknownChecks as exc:
+        raise UsageError(str(exc)) from exc
     sink = open(args.report, "w", encoding="utf-8") if args.report else out
     try:
         for rec in records:
@@ -287,13 +289,10 @@ def cmd_fan_check(args, out, *_):
         _read(f, load_space) if isinstance(f, str) else space_from_json(f)
         for f in raw
     ]
-    verdict = products.fan_tightness_check(
-        factors, args.kappa, candidate_policy=args.pool, reading=args.reading
-    )
+    verdict = products.fan_tightness_check(factors, args.kappa, candidate_policy=args.pool)
     _emit(out, {
         "status": verdict.status.value,
         "kappa": verdict.kappa,
-        "reading": verdict.reading,
         "cells": len(verdict.witness),
         "unknown_cells": len(verdict.unknown_cells),
     }, args.format)

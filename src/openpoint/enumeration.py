@@ -19,6 +19,7 @@ from .invariants import (
     invariant_report,
     pi_weight,
     pi_weight_brute,
+    tightness,
     weight_brute,
 )
 from .metric import greedy_run_violations, random_pseudometrics
@@ -208,7 +209,7 @@ def _check_minimal_opens(space):
 
 def _check_chain(space):
     rep = invariant_report(space)
-    ok = rep.chain_ok and rep.t == 1
+    ok = rep.chain_ok
     if space.n >= 2:
         ok = ok and rep.w <= (1 << space.n) - 2
     if not ok:
@@ -230,7 +231,8 @@ def _check_oracles(space):
         "pi": (rep.pi, pi_weight_brute(space)),
         "w": (rep.w, weight_brute(space)),
         "delta": (rep.delta, delta_oracle(space)),
-        "t": (rep.t, 1),
+        "gd": (rep.gd, solved_gd(space)),
+        "t": (rep.t, tightness(space)),
     }
     bad = {k: v for k, v in pairs.items() if v[0] != v[1]}
     return bad or None
@@ -396,6 +398,10 @@ def _check_metric(seed: int):
     return None
 
 
+class UnknownChecks(ValueError):
+    """A ``checks`` selection names a check that does not exist."""
+
+
 def verify_suite(n: int, checks="all", seed: int = 0):
     """Run the selected checks over the exhaustive corpus for size n.
 
@@ -412,7 +418,7 @@ def verify_suite(n: int, checks="all", seed: int = 0):
         wanted = set(checks.split(",")) if isinstance(checks, str) else set(checks)
         unknown = wanted - set(live_space) - set(live_pair) - {"metric"}
         if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+            raise UnknownChecks(f"unknown checks: {sorted(unknown)}")
         live_space = {k: v for k, v in live_space.items() if k in wanted}
         live_pair = {k: v for k, v in live_pair.items() if k in wanted}
         want_metric = "metric" in wanted

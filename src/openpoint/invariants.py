@@ -1,7 +1,8 @@
 """Cardinal invariants of finite spaces: d, delta, gd, pi, w, t.
 
 Every invariant comes in two routes: a fast structural formula and a
-brute-force oracle that knows nothing about the formula.  The test suite
+brute-force oracle that knows nothing about the formula.  The game
+solver (``game.solved_gd``) is the oracle for gd.  The test suite
 equates the two on exhaustively enumerated corpora; nothing in this module
 assumes the inequality chain it is used to verify.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .game import solved_gd
 from .space import (
     FiniteSpace,
     closure,
@@ -178,26 +178,26 @@ class InvariantReport:
         }
 
 
-def invariant_report(space: FiniteSpace, gd: int | None = None) -> InvariantReport:
-    """Compute the full chain; gd comes from the game solver unless given.
+def invariant_report(space: FiniteSpace) -> InvariantReport:
+    """The full chain from structural formulas, computed once per space.
 
-    The report with the solver's gd is computed once per space; a report
-    built from an explicit ``gd`` neither reads nor fills that cache.
+    gd = |minimal opens|.  A point y in a minimal open M' has N(y) = M', so
+    y in cl{x} puts x in M': the closure of a pick meets only the minimal
+    open holding the pick, if any.  Every stage thus covers at most one
+    minimal open, and offering an uncovered one each stage ends the game
+    after exactly |minimal opens| stages; the solver is this route's oracle.
+
+    t = 1.  Closure is additive on a finite space, so x in cl(Y) puts x in
+    cl{y} for some y in Y; ``tightness`` is this route's oracle.
     """
-    if gd is not None:
-        return _report(space, gd)
     got = space._cache.get("invariant_report")
     if got is None:
-        got = space._cache["invariant_report"] = _report(space, solved_gd(space))
+        got = space._cache["invariant_report"] = InvariantReport(
+            d=density(space),
+            delta=delta(space),
+            gd=len(minimal_opens(space)),
+            pi=pi_weight(space),
+            w=weight(space),
+            t=1,
+        )
     return got
-
-
-def _report(space: FiniteSpace, gd: int) -> InvariantReport:
-    return InvariantReport(
-        d=density(space),
-        delta=delta(space),
-        gd=gd,
-        pi=pi_weight(space),
-        w=weight(space),
-        t=tightness(space),
-    )

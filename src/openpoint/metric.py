@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .game import solve_game
 from .invariants import delta, density, pi_weight, weight
-from .space import FiniteSpace, TopologyError, closure, space_from_masks
+from .space import FiniteSpace, TopologyError, closure, is_str_list, space_from_masks
 
 
 class InvalidMetric(TopologyError):
@@ -224,11 +224,17 @@ def _parse_distance(v) -> Fraction:
 
 
 def metric_from_json(obj: dict) -> PseudometricSpace:
+    if not isinstance(obj, dict):
+        raise InvalidMetric("a metric file must hold a JSON object")
     try:
         points = obj["points"]
         dist = obj["dist"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InvalidMetric(f"metric object is missing field {exc}") from exc
+    if not is_str_list(points):
+        raise InvalidMetric('field "points" must be a list of strings')
+    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+        raise InvalidMetric('field "dist" must be a list of lists')
     return pseudometric(points, [[_parse_distance(v) for v in row] for row in dist])
 
 

@@ -204,7 +204,6 @@ class FanTightnessVerdict:
     status: FanStatus
     witness: dict
     unknown_cells: tuple
-    reading: str
 
     @property
     def holds(self) -> bool:
@@ -220,7 +219,7 @@ def _table_dp(n_points: int, per_point) -> list[int]:
     return tab
 
 
-def _constrained_closures(sub, family, cl_tab, proj_tabs, factor_cl, reading):
+def _constrained_closures(sub, family, cl_tab, proj_tabs, factor_cl):
     """Closures of every pick-set satisfying the per-member density constraint.
 
     A set A qualifies when, for each family member V and each axis, the
@@ -235,10 +234,8 @@ def _constrained_closures(sub, family, cl_tab, proj_tabs, factor_cl, reading):
     out = set()
     for a in range(1 << sub.space.n):
         ok = True
-        union_slices = 0
         for v, want in zip(family, targets):
             sl = a & v
-            union_slices |= sl
             for ax in axes:
                 if factor_cl[ax][proj_tabs[ax][sl]] != want[ax]:
                     ok = False
@@ -246,12 +243,12 @@ def _constrained_closures(sub, family, cl_tab, proj_tabs, factor_cl, reading):
             if not ok:
                 break
         if ok:
-            out.add(cl_tab[a] if reading == "a" else cl_tab[union_slices])
+            out.add(cl_tab[a])
     return sorted(out)
 
 
-def fan_tightness_check(factors, kappa: int, candidate_policy: str = "boxes",
-                        reading: str = "a") -> FanTightnessVerdict:
+def fan_tightness_check(factors, kappa: int,
+                        candidate_policy: str = "boxes") -> FanTightnessVerdict:
     """Search for witnesses to the fan-tightness condition.
 
     For every non-empty set of factor indices and every non-empty open U of
@@ -261,16 +258,21 @@ def fan_tightness_check(factors, kappa: int, candidate_policy: str = "boxes",
     for a positive answer and deliberately bounded: cells it cannot settle
     make the verdict Unknown, never a refutation.
 
-    ``reading`` selects what gets closed in the conclusion: the whole
-    pick-set ("a", default) or the union of its family slices ("union").
+    The conclusion closes the whole pick-set A.  Closing only the union S
+    of its family slices (A & V, V a member) gives the same verdict: S has
+    the same slices as A, so S qualifies and its closure is tested too;
+    cl(S) lies inside cl(A); and the conclusion is upward-closed in the
+    closed set.  More than 12 factors are refused before any product is
+    built: with at least two points each they exceed ``POINTS_CAP``.
     """
     factors = tuple(factors)
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     if candidate_policy not in ("boxes", "all"):
         raise ValueError("candidate_policy must be 'boxes' or 'all'")
-    if reading not in ("a", "union"):
-        raise ValueError("reading must be 'a' or 'union'")
+    most = POINTS_CAP.bit_length() - 1
+    if len(factors) > most:
+        raise TooLarge(f"{len(factors)} factors exceed the cap of {most}")
     total = 1
     for f in factors:
         total *= f.n
@@ -307,7 +309,7 @@ def fan_tightness_check(factors, kappa: int, candidate_policy: str = "boxes",
             for g in gamma
         ]
         closure_sets = [
-            _constrained_closures(sub, fam, cl_tab, proj_tabs, factor_cl, reading)
+            _constrained_closures(sub, fam, cl_tab, proj_tabs, factor_cl)
             for fam in families
         ]
         for u in opens_nonempty:
@@ -338,5 +340,4 @@ def fan_tightness_check(factors, kappa: int, candidate_policy: str = "boxes",
         status=status,
         witness=witness,
         unknown_cells=tuple(unknown),
-        reading=reading,
     )

@@ -408,14 +408,14 @@ def space_from_json(obj: dict) -> FiniteSpace:
         raise TopologyError(f"space object is missing field {exc}") from exc
     if not isinstance(name, str):
         raise TopologyError('field "name" must be a string')
-    if not _is_str_list(points):
+    if not is_str_list(points):
         raise TopologyError('field "points" must be a list of strings')
-    if not isinstance(opens, list) or not all(_is_str_list(u) for u in opens):
+    if not isinstance(opens, list) or not all(is_str_list(u) for u in opens):
         raise TopologyError('field "opens" must be a list of lists of strings')
     return validate_topology(points, opens, name=name)
 
 
-def _is_str_list(value) -> bool:
+def is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 

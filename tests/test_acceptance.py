@@ -110,6 +110,7 @@ def test_criterion_3_variant_equivalences(corpus4):
         gd_r = solve_game(space, GameVariant.RESTRICTED).gd
         gd_f = solve_game(space, GameVariant.FREE).gd
         gd_m = solve_game(space, GameVariant.MULTI_POINT).gd
+        assert gd_r == invariant_report(space).gd, f"structural gd differs on {space.name}"
         assert gd_r == gd_f, f"restricted/free differ on {space.name}"
         assert gd_m <= gd_f, f"multi-point exceeds free on {space.name}"
         multi_always_equal &= gd_m == gd_f

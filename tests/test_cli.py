@@ -183,6 +183,20 @@ class TestSuite:
         assert code == 0 and not out
         assert len(ndjson_lines(report.read_text())) == 4
 
+    def test_unknown_checks_are_a_usage_error(self):
+        code, out, err = invoke(["suite", "--n", "2", "--checks", "chain,nope"])
+        assert code == 1 and not out and "unknown checks: ['nope']" in err
+
+    def test_error_inside_a_check_propagates(self, monkeypatch):
+        from openpoint import enumeration
+
+        def broken(space):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setitem(enumeration.SPACE_CHECKS, "chain", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            invoke(["suite", "--n", "2", "--checks", "chain"])
+
 
 class TestProduct:
     def test_product_file_roundtrip(self, tmp_path, sierpinski_file, discrete2_file):
@@ -229,6 +243,13 @@ class TestFanCheck:
         code, out, err = invoke(["fan-check", str(spec), "--kappa", "1"])
         assert code == 1 and not out and 'field "points"' in err
 
+    def test_too_many_factors_is_an_error(self, tmp_path):
+        spec = tmp_path / "fan.json"
+        point = space_to_json(make_discrete(1))
+        spec.write_text(json.dumps({"factors": [point] * 13}))
+        code, out, err = invoke(["fan-check", str(spec), "--kappa", "1"])
+        assert code == 1 and not out and "13 factors" in err
+
     def test_kappa_zero_is_usage_error(self, tmp_path, sierpinski_file):
         spec = tmp_path / "fan.json"
         spec.write_text(json.dumps({"factors": [sierpinski_file]}))
@@ -269,6 +290,19 @@ class TestGreedy:
         path.write_text(json.dumps({"points": ["a"], "dist": [["0"]]}))
         code, _, err = invoke(["greedy", str(path), "--start", "z"])
         assert code == 1
+
+    @pytest.mark.parametrize("message, obj", [
+        ('field "dist"', {"points": ["a", "b"], "dist": 5}),
+        ('field "dist"', {"points": ["a", "b"], "dist": [5]}),
+        ("JSON object", ["a", "b"]),
+        ('field "points"', {"points": "ab", "dist": [["0", "1"], ["1", "0"]]}),
+    ], ids=["dist-integer", "dist-row-integer", "list-top-level", "points-string"])
+    def test_malformed_metric_fails(self, tmp_path, message, obj):
+        # an exception escaping run() would fail the test before the assert
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = invoke(["greedy", str(path)])
+        assert code == 1 and not out and message in err
 
 
 class TestPrettyFormat:

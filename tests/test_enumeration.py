@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from openpoint import enumeration
 from openpoint.enumeration import (
+    _check_oracles,
     canonical_form,
     enumerate_labeled,
     verify_suite,
 )
 from openpoint.space import TooLarge, space_from_masks
 
+from .conftest import make_two_sierpinski
 from .util import spaces
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -104,6 +107,14 @@ class TestSuite:
                    "subspace-monotone,dense-lower-bound",
         )
         assert ok
+
+    @pytest.mark.parametrize("route, key", [("solved_gd", "gd"), ("tightness", "t")])
+    def test_oracles_compare_gd_and_t(self, monkeypatch, route, key):
+        real = getattr(enumeration, route)
+        monkeypatch.setattr(enumeration, route, lambda space: real(space) + 1)
+        space = make_two_sierpinski()
+        honest = real(space)
+        assert _check_oracles(space) == {key: (honest, honest + 1)}
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 from hypothesis import given, settings
 
+from openpoint import game, invariants
+from openpoint.game import solved_gd
 from openpoint.invariants import (
     InvariantReport,
     delta,
@@ -121,12 +123,21 @@ class TestReport:
         space = make_chain(3)
         assert invariant_report(space) is invariant_report(space)
 
-    def test_explicit_gd_bypasses_the_cache(self):
-        space = make_chain(3)
-        assert invariant_report(space, gd=7).gd == 7
-        assert invariant_report(space).gd == 1
-        assert invariant_report(space, gd=5).gd == 5
-        assert invariant_report(space).gd == 1
+    def test_report_never_solves_or_scans(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the report must not solve a game or scan for t")
+
+        monkeypatch.setattr(game.StrategyTable, "__call__", boom)
+        monkeypatch.setattr(invariants, "tightness", boom)
+        rep = invariant_report(make_two_sierpinski())
+        assert rep == InvariantReport(d=2, delta=2, gd=2, pi=2, w=4, t=1)
+
+    @given(spaces(max_points=4))
+    @settings(max_examples=30)
+    def test_structural_gd_and_t_match_their_oracles(self, space):
+        rep = invariant_report(space)
+        assert rep.gd == solved_gd(space)
+        assert rep.t == tightness(space)
 
     def test_finite_collapse_on_whole_corpus(self, labeled_corpus):
         # computed finding: d = delta = gd = pi on every space with n <= 4
