@@ -61,6 +61,28 @@ def _read(path, load):
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write(path, save):
+    """``save(path)``, with an unwritable path as a usage error."""
+    try:
+        save(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit_all(out, records, fmt, path=None):
+    """Emit ``records`` to ``out``, or to the file ``path`` when one is given."""
+    if path is None:
+        for rec in records:
+            _emit(out, rec, fmt)
+        return
+
+    def save(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            _emit_all(fh, records, fmt)
+
+    _write(path, save)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="openpoint")
     parser.add_argument("--format", choices=["ndjson", "pretty"], default="ndjson")
@@ -230,9 +252,7 @@ def cmd_play(args, out, err, stdin):
         "matched_gd": transcript.length == gd,
     }, args.format)
     if args.ledger is not None:
-        with open(args.ledger, "w", encoding="utf-8") as fh:
-            for rec in agg.ledger_of(final_state).records():
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        _emit_all(None, agg.ledger_of(final_state).records(), "ndjson", args.ledger)
     return 0
 
 
@@ -241,13 +261,7 @@ def cmd_enumerate(args, out, *_):
         stream = enumeration.enumerate_labeled(args.n, method=args.method)
     else:
         stream = enumeration.enumerate_unlabeled(args.n)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else out
-    try:
-        for space in stream:
-            _emit(sink, space_to_json(space), args.format)
-    finally:
-        if args.out:
-            sink.close()
+    _emit_all(out, (space_to_json(space) for space in stream), args.format, args.out)
     return 0
 
 
@@ -256,13 +270,7 @@ def cmd_suite(args, out, err, *_):
         ok, records = enumeration.verify_suite(args.n, checks=args.checks, seed=args.seed)
     except enumeration.UnknownChecks as exc:
         raise UsageError(str(exc)) from exc
-    sink = open(args.report, "w", encoding="utf-8") if args.report else out
-    try:
-        for rec in records:
-            _emit(sink, rec, args.format)
-    finally:
-        if args.report:
-            sink.close()
+    _emit_all(out, records, args.format, args.report)
     passed = sum(1 for r in records if r["status"] == "pass")
     err.write(f"{passed}/{len(records)} checks passed\n")
     return 0 if ok else 2
@@ -272,7 +280,7 @@ def cmd_product(args, out, *_):
     spaces_list = [_read(p, load_space) for p in args.spaces]
     prod = products.product(spaces_list)
     if args.out:
-        save_space(prod.space, args.out)
+        _write(args.out, lambda path: save_space(prod.space, path))
     else:
         _emit(out, space_to_json(prod.space), args.format)
     return 0

@@ -2,7 +2,8 @@
 
 A product of finite spaces is materialized as a FiniteSpace whose points
 are mixed-radix tuples and whose opens are all up-sets of the product
-specialization preorder (equivalently: all unions of open boxes).
+specialization preorder (equivalently: all unions of open boxes).  Its
+rows N((x, y)) = N(x) x N(y) go straight to ``from_preorder``.
 """
 
 from __future__ import annotations
@@ -10,21 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, islice, product as iter_product
+from math import prod as size_product
 
 from .invariants import pi_weight
 from .space import (
     FiniteSpace,
+    Preorder,
     TooLarge,
     bits,
-    enumerate_upsets,
+    from_preorder,
     inclusion_minimal,
     minimal_opens,
-    space_from_masks,
     subspace,
 )
 
 POINTS_CAP = 4096
-OPENS_CAP = 1 << 17
 SUBSET_LOOP_CAP = 1 << 12   # exhaustive A-loops beyond this are skipped
 FAMILY_TRY_CAP = 64
 
@@ -75,17 +76,12 @@ def _box(sizes, factor_masks) -> int:
     return mask
 
 
-def _product_succ(factors, sizes):
-    """Minimal product neighborhood of every product point, as succ rows."""
-    nbhds = [f.min_neighborhoods() for f in factors]
-    total = 1
-    for s in sizes:
-        total *= s
-    rows = []
-    for idx in range(total):
-        coords = _decode(sizes, idx)
-        rows.append(_box(sizes, [nbhds[i][c] for i, c in enumerate(coords)]))
-    return rows
+def _product_succ(factors, sizes) -> tuple[int, ...]:
+    """N((x, y, ...)) = N(x) x N(y) x ... for every product point, in index order."""
+    return tuple(
+        _box(sizes, [f.nbhds[c] for f, c in zip(factors, coords)])
+        for coords in iter_product(*map(range, sizes))
+    )
 
 
 def product(factors, name: str | None = None) -> ProductSpace:
@@ -112,19 +108,15 @@ def product(factors, name: str | None = None) -> ProductSpace:
 
 def _build_product(factors, name):
     sizes = tuple(f.n for f in factors)
-    total = 1
-    for s in sizes:
-        total *= s
+    total = size_product(sizes)
     if total > POINTS_CAP:
         raise TooLarge(f"product would have {total} points (cap {POINTS_CAP})")
-    rows = _product_succ(factors, sizes)
-    opens = enumerate_upsets(total, tuple(rows), cap=OPENS_CAP)
     labels = [
-        "(" + ",".join(f.point_labels[c] for f, c in zip(factors, _decode(sizes, i))) + ")"
-        for i in range(total)
+        "(" + ",".join(f.point_labels[c] for f, c in zip(factors, coords)) + ")"
+        for coords in iter_product(*map(range, sizes))
     ]
-    pname = name or "x".join(f.name for f in factors)
-    space = space_from_masks(pname, labels, opens, max_points=POINTS_CAP)
+    pre = Preorder(n=total, rows=_product_succ(factors, sizes))
+    space = from_preorder(pre, name or "x".join(f.name for f in factors), labels)
     return ProductSpace(factors=factors, space=space, sizes=sizes)
 
 
@@ -273,9 +265,7 @@ def fan_tightness_check(factors, kappa: int,
     most = POINTS_CAP.bit_length() - 1
     if len(factors) > most:
         raise TooLarge(f"{len(factors)} factors exceed the cap of {most}")
-    total = 1
-    for f in factors:
-        total *= f.n
+    total = size_product(f.n for f in factors)
     cap = 512 if candidate_policy == "all" else POINTS_CAP
     if total > cap:
         raise TooLarge(f"{total} product points exceed the {candidate_policy} cap of {cap}")

@@ -5,11 +5,12 @@ Points are indices 0..n-1; a set of points is one int whose bit i means
 sorted by bitmask value, which makes space equality a plain tuple
 comparison and keeps every set operation a single machine-word op.
 
-A space also stores the minimal neighbourhood N(x) of every point, kept
-from validation.  Point closures, ``is_open``, ``interior``,
-``minimal_opens`` and the specialization preorder all derive from these
-rows (the Alexandrov correspondence); ``closure`` alone scans the open
-lattice, as the oracle the derived routes are checked against.
+A space also stores the minimal neighbourhood N(x) of every point: the
+rows of its preorder, or what validation computed from its opens.  Point
+closures, ``is_open``, ``interior``, ``minimal_opens`` and the
+specialization preorder all derive from these rows (the Alexandrov
+correspondence); ``closure`` alone scans the open lattice, as the oracle
+the derived routes are checked against.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterable, Iterator
 PointSet = int
 
 MAX_POINTS = 16
+OPENS_CAP = 1 << 17
 
 
 class TopologyError(ValueError):
@@ -81,13 +83,14 @@ def popcount(mask: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
-    """A validated finite topology.
+    """A checked finite topology.
 
     ``opens`` is the full open-set family as a strictly increasing tuple of
     bitmasks; it always contains 0 (empty set) and ``full`` (all points).
-    ``nbhds[x]`` is N(x), the smallest open containing point x.  Instances
-    are immutable and safe to share; two spaces compare equal when they
-    have the same point count and the same opens, labels aside.
+    ``nbhds[x]`` is N(x), the smallest open containing point x, computed
+    by ``space_from_masks`` or given to ``from_preorder`` as checked rows.
+    Instances are immutable and safe to share; two spaces compare equal
+    when they have the same point count and the same opens, labels aside.
     """
 
     name: str
@@ -175,30 +178,26 @@ def _min_neighborhoods(n: int, opens, members) -> tuple[int, ...]:
     return tuple(out)
 
 
-def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int],
-                     max_points: int = MAX_POINTS) -> FiniteSpace:
-    """Build a FiniteSpace from bitmask opens, checking every axiom.
+def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int]) -> FiniteSpace:
+    """Build a FiniteSpace of at most ``MAX_POINTS`` points from bitmask opens.
 
-    ``max_points`` defaults to the one-word cap; product constructions lift
-    it since they stay index-encoded either way.
-
-    A family F holding the empty and the full set is closed under union and
-    intersection exactly when (a) every minimal neighbourhood N(x), the
-    intersection of the members containing x, is in F, and (b) U | N(x) is
-    in F for every U in F and every point x.  Each U in F is the union of
-    the N(x) over x in U; by (b) every such union is in F; and y in N(x)
-    gives N(y) <= N(x), so these unions are closed under intersection too.
-    The check costs O(n * |F|) set lookups, the order of the up-set
-    enumeration that builds a product, so every space is checked whatever
-    its size.  A failure names a pair of members whose union or
-    intersection is missing.  The N(x) are kept on the space as ``nbhds``.
+    Spaces given by their opens come through here: JSON files, enumerated
+    families, subspaces and metric topologies.  A family F holding the
+    empty and the full set is closed under union and intersection exactly
+    when (a) every minimal neighbourhood N(x), the intersection of the
+    members containing x, is in F, and (b) U | N(x) is in F for every U in
+    F and every point x.  Each U in F is the union of the N(x) over x in U;
+    by (b) every such union is in F; and y in N(x) gives N(y) <= N(x), so
+    these unions are closed under intersection too.  The check costs
+    O(n * |F|) set lookups.  A failure names a pair of members whose union
+    or intersection is missing.  The N(x) are kept as ``nbhds``.
     """
     labels = tuple(point_labels)
     n = len(labels)
     if n < 1:
         raise TopologyError("a space needs at least one point")
-    if n > max_points:
-        raise TooLarge(f"{n} points exceeds the {max_points}-point cap")
+    if n > MAX_POINTS:
+        raise TooLarge(f"{n} points exceeds the {MAX_POINTS}-point cap")
     if len(set(labels)) != n:
         raise DuplicateLabel(f"point labels {labels} contain a duplicate")
     full = (1 << n) - 1
@@ -358,29 +357,38 @@ def enumerate_upsets(n: int, succ, cap: int | None = None) -> list[int]:
 
 
 def from_preorder(pre: Preorder, name: str = "space", point_labels=None) -> FiniteSpace:
-    """Rebuild the topology whose opens are the up-sets of the preorder."""
-    n = pre.n
-    for x in range(n):
-        if not pre.rows[x] >> x & 1:
-            raise NotReflexive(f"point {x} is not related to itself")
-    for x in range(n):
-        for y in bits(pre.rows[x]):
-            if pre.rows[y] & ~pre.rows[x]:
-                raise NotTransitive(f"transitivity fails through points {x} <= {y}")
-    # x in closure({y})  <=>  every open containing x contains y,
-    # so the minimal neighborhood of x is rows[x] and opens are its up-sets.
-    opens = enumerate_upsets(n, pre.rows)
+    """The space of the up-sets of ``pre``, whose checked rows become its N(x).
+
+    Rows inside the n points, reflexive and transitive, and n distinct
+    string labels make the up-sets a topology with those N(x), so they are
+    not validated again.  Raises TooLarge past ``OPENS_CAP`` up-sets.
+    """
+    n, rows = pre.n, tuple(pre.rows)
     labels = tuple(point_labels) if point_labels else tuple(f"p{i}" for i in range(n))
-    return space_from_masks(name, labels, opens)
+    if n < 1:
+        raise TopologyError("a space needs at least one point")
+    if len(rows) != n:
+        raise TopologyError(f"a preorder on {n} points needs {n} rows, got {len(rows)}")
+    if len(labels) != n or not all(isinstance(lab, str) for lab in labels):
+        raise TopologyError(f"a space on {n} points needs {n} string labels")
+    if len(set(labels)) != n:
+        raise DuplicateLabel(f"point labels {labels} contain a duplicate")
+    for x, row in enumerate(rows):
+        if not 0 <= row < 1 << n:
+            raise TopologyError(f"the row of point {x} uses bits outside the point range")
+        if not row >> x & 1:
+            raise NotReflexive(f"point {x} is not related to itself")
+    for x, row in enumerate(rows):
+        for y in bits(row):
+            if rows[y] & ~row:
+                raise NotTransitive(f"transitivity fails through points {x} <= {y}")
+    opens = enumerate_upsets(n, rows, cap=OPENS_CAP)
+    return FiniteSpace(name=name, n=n, point_labels=labels, opens=tuple(opens), nbhds=rows)
 
 
 def is_t0(space: FiniteSpace) -> bool:
-    pre = to_preorder(space)
-    return all(
-        not (pre.leq(x, y) and pre.leq(y, x))
-        for x in range(space.n)
-        for y in range(x + 1, space.n)
-    )
+    # no open tells x from y exactly when each lies in the other's N
+    return len(set(space.nbhds)) == space.n
 
 
 def is_t1(space: FiniteSpace) -> bool:
@@ -400,11 +408,13 @@ def space_to_json(space: FiniteSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> FiniteSpace:
+    if not isinstance(obj, dict):
+        raise TopologyError("a space must be a JSON object")
     try:
         name = obj["name"]
         points = obj["points"]
         opens = obj["opens"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise TopologyError(f"space object is missing field {exc}") from exc
     if not isinstance(name, str):
         raise TopologyError('field "name" must be a string')

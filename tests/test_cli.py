@@ -79,6 +79,12 @@ class TestValidate:
         code, out, err = invoke(["validate", str(bad)])
         assert code == 1 and not out and f'field "{field}"' in err
 
+    def test_top_level_that_is_not_an_object_fails(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1]")
+        code, out, err = invoke(["validate", str(bad)])
+        assert code == 1 and not out and "a space must be a JSON object" in err
+
 
 class TestInvariants:
     def test_sierpinski_record(self, sierpinski_file):
@@ -243,6 +249,12 @@ class TestFanCheck:
         code, out, err = invoke(["fan-check", str(spec), "--kappa", "1"])
         assert code == 1 and not out and 'field "points"' in err
 
+    def test_factor_that_is_not_an_object_fails(self, tmp_path):
+        spec = tmp_path / "fan.json"
+        spec.write_text(json.dumps({"factors": [5]}))
+        code, out, err = invoke(["fan-check", str(spec), "--kappa", "1"])
+        assert code == 1 and not out and "a space must be a JSON object" in err
+
     def test_too_many_factors_is_an_error(self, tmp_path):
         spec = tmp_path / "fan.json"
         point = space_to_json(make_discrete(1))
@@ -303,6 +315,22 @@ class TestGreedy:
         path.write_text(json.dumps(obj))
         code, out, err = invoke(["greedy", str(path)])
         assert code == 1 and not out and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", "{s}", "{s}", "-o", "{out}"],
+    ["enumerate", "--n", "2", "--out", "{out}"],
+    ["suite", "--n", "1", "--checks", "chain", "--report", "{out}"],
+    ["play", "{s}", "{s}", "--pI", "aggregate", "--pII", "first", "--ledger", "{out}"],
+], ids=["product", "enumerate", "suite", "play-ledger"])
+def test_unwritable_output_path_is_usage_error(tmp_path, sierpinski_file, argv):
+    # an exception escaping run() would fail the test before the assert
+    out_path = str(tmp_path / "missing-dir" / "out.json")
+    argv = [a.format(s=sierpinski_file, out=out_path) for a in argv]
+    code, _, err = invoke(argv)
+    assert code == 1
+    assert err.splitlines()[-1].startswith(f"error: cannot write {out_path}: ")
+    assert not os.path.exists(out_path)
 
 
 class TestPrettyFormat:

@@ -1,7 +1,8 @@
 import itertools
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from openpoint.enumeration import canonical_form
 from openpoint.game import solve_game
@@ -17,6 +18,7 @@ from openpoint.products import (
 )
 from openpoint.space import (
     TooLarge,
+    inclusion_minimal,
     minimal_opens,
     space_from_json,
     space_from_masks,
@@ -122,11 +124,54 @@ class TestProductMemo:
             assert got.sizes == want.sizes
 
 
+def lattice_minimal(space):
+    """Minimal opens read off the enumerated lattice, not the stored N(x).
+
+    A product's N(x) are the rows ``minimal_opens_via_preorder`` reads, so
+    ``minimal_opens(prod.space)`` would not be an independent route.
+    """
+    return inclusion_minimal(u for u in space.opens if u)
+
+
+@st.composite
+def factor_lists(draw, most=16):
+    """One to three random factors whose product has at most ``most`` points."""
+    factors = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        room = most // math.prod(f.n for f in factors)
+        factors.append(draw(spaces(max_points=min(4, room))))
+    return factors
+
+
+class TestBuiltFromRows:
+    """Products skip the lattice validation; it runs here as the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(factor_lists())
+    def test_validation_accepts_what_the_rows_build(self, factors):
+        prod = product(factors)
+        space = prod.space
+        checked = space_from_masks(space.name, space.point_labels, space.opens)
+        assert checked.opens == space.opens
+        assert checked.nbhds == space.nbhds
+        # and they are the product's N(x): the meet of the open cylinders
+        # U_i x (everything else) through each point, from the factor lattices
+        for idx in range(space.n):
+            coords = prod.decode(idx)
+            meet = space.full
+            for axis, f in enumerate(factors):
+                for u in f.opens:
+                    if u >> coords[axis] & 1:
+                        meet &= prod.box_mask([u if i == axis else g.full
+                                               for i, g in enumerate(factors)])
+            assert space.nbhds[idx] == meet
+
+
 class TestPiMultiplicativity:
     def test_all_pairs_of_small_representatives(self, small_spaces):
         for x, y in itertools.product(small_spaces, repeat=2):
             prod = product([x, y])
-            mins = minimal_opens(prod.space)
+            mins = lattice_minimal(prod.space)
             assert mins == minimal_open_boxes(prod)
             assert mins == minimal_opens_via_preorder([x, y])
             assert len(mins) == pi_weight(x) * pi_weight(y)
@@ -150,7 +195,7 @@ class TestPiMultiplicativity:
                 prod = product(list(triple))
             except TooLarge:
                 continue
-            assert minimal_opens(prod.space) == minimal_opens_via_preorder(triple)
+            assert lattice_minimal(prod.space) == minimal_opens_via_preorder(triple)
             checked += 1
         assert checked >= 50
 

@@ -13,6 +13,7 @@ from openpoint.space import (
     NotTransitive,
     Preorder,
     TooLarge,
+    TopologyError,
     UnknownLabel,
     closure,
     from_preorder,
@@ -264,8 +265,24 @@ class TestPreorder:
         with pytest.raises(NotTransitive):
             from_preorder(Preorder(n=3, rows=(0b011, 0b110, 0b100)))
 
+    @pytest.mark.parametrize("rows", [(0b101, 0b010), (0b01, -1), (0b01, 0b10, 0b100)],
+                             ids=["bit-past-n", "negative", "too-many-rows"])
+    def test_rejects_rows_outside_the_points(self, rows):
+        with pytest.raises(TopologyError):
+            from_preorder(Preorder(n=2, rows=rows))
+
+    @pytest.mark.parametrize("labels, error", [
+        (["a"], TopologyError), (["a", "b", "c"], TopologyError),
+        (["a", 1], TopologyError), (["a", "a"], DuplicateLabel),
+    ], ids=["too-few", "too-many", "not-a-string", "duplicate"])
+    def test_rejects_labels_that_are_not_n_distinct_strings(self, labels, error):
+        with pytest.raises(error):
+            from_preorder(Preorder(n=2, rows=(0b01, 0b10)), point_labels=labels)
+
     @given(spaces())
     def test_roundtrip_identity(self, space):
+        # ``space`` was validated by space_from_masks, so this is also the
+        # oracle for the validation from_preorder leaves out
         assert from_preorder(to_preorder(space)) == space
 
 
@@ -281,6 +298,16 @@ class TestSeparationFlags:
 
     def test_chain_t0(self):
         assert is_t0(make_chain(3))
+
+    @given(spaces())
+    def test_t0_is_the_definition(self, space):
+        # T0: any two points are told apart by an open holding exactly one of them
+        told_apart = all(
+            any((u >> x ^ u >> y) & 1 for u in space.opens)
+            for x in range(space.n)
+            for y in range(x + 1, space.n)
+        )
+        assert is_t0(space) == told_apart
 
 
 class TestCorpusProperties:
@@ -305,8 +332,8 @@ class TestCorpusProperties:
                 for s in range(space.full + 1):
                     assert cls[s] & s == s
                     assert cls[cls[s]] == cls[s]
-                    t = (s * 7 + 3) & space.full
-                    assert closure(space, s | t) == cls[s] | cls[t], space.name
+                    for t in range(s + 1, space.full + 1):
+                        assert cls[s | t] == cls[s] | cls[t], space.name
 
     def test_preorder_roundtrip_whole_corpus(self, labeled_corpus):
         for spaces in labeled_corpus.values():
@@ -337,3 +364,8 @@ class TestJsonRoundtrip:
     def test_roundtrip(self, space):
         blob = json.dumps(space_to_json(space))
         assert space_from_json(json.loads(blob)) == space
+
+    @pytest.mark.parametrize("obj", [[1], 5, "s", None, ["name", "points", "opens"]])
+    def test_top_level_must_be_an_object(self, obj):
+        with pytest.raises(TopologyError, match="a space must be a JSON object"):
+            space_from_json(obj)
