@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from contextlib import contextmanager
+from math import prod as size_product
 
 from . import enumeration, metric, products, strategies
 from .game import (
@@ -23,7 +26,14 @@ from .game import (
     table_picker,
 )
 from .invariants import invariant_report
-from .space import TopologyError, load_space, save_space, space_from_json, space_to_json
+from .space import (
+    MAX_POINTS,
+    TopologyError,
+    load_space,
+    save_space,
+    space_from_json,
+    space_to_json,
+)
 
 
 class UsageError(Exception):
@@ -69,18 +79,27 @@ def _write(path, save):
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit_all(out, records, fmt, path=None):
-    """Emit ``records`` to ``out``, or to the file ``path`` when one is given."""
+@contextmanager
+def _output(path, out):
+    """The stream to write to: ``out``, or the file ``path``, opened at once.
+
+    Commands open their output file before the work starts, so that an
+    unwritable path fails fast, as a usage error.  A command that fails
+    after that leaves no file behind.
+    """
     if path is None:
-        for rec in records:
-            _emit(out, rec, fmt)
+        yield out
         return
-
-    def save(path):
+    try:
         with open(path, "w", encoding="utf-8") as fh:
-            _emit_all(fh, records, fmt)
-
-    _write(path, save)
+            try:
+                yield fh
+            except BaseException:
+                fh.close()
+                os.remove(path)
+                raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -222,37 +241,39 @@ def _interactive_picker(space, err, stdin):
 
 
 def cmd_play(args, out, err, stdin):
-    spaces_list = [_read(p, load_space) for p in args.spaces]
-    prod = products.product(spaces_list) if len(spaces_list) > 1 else None
-    space = prod.space if prod else spaces_list[0]
-    table = solve_game(space, _variant(args.variant))
-    chooser, agg = _build_chooser(args, spaces_list, prod, table)
-    if args.ledger is not None and agg is None:
+    if args.ledger is not None and args.chooser != "aggregate":
         raise UsageError("--ledger only applies to the aggregate strategy")
-    picker = _build_picker(args, space, table)
-    if picker is None:
-        picker = _interactive_picker(space, err, stdin)
+    spaces_list = [_read(p, load_space) for p in args.spaces]
+    with _output(args.ledger, None) as ledger:
+        prod = products.product(spaces_list) if len(spaces_list) > 1 else None
+        space = prod.space if prod else spaces_list[0]
+        table = solve_game(space, _variant(args.variant))
+        chooser, agg = _build_chooser(args, spaces_list, prod, table)
+        picker = _build_picker(args, space, table)
+        if picker is None:
+            picker = _interactive_picker(space, err, stdin)
 
-    def emit_step(stage, step):
+        def emit_step(stage, step):
+            _emit(out, {
+                "stage": stage,
+                "offered": sorted(space.label_set(step.offered)),
+                "picked": sorted(space.label_set(step.picks)),
+                "closure": sorted(space.label_set(step.closure_after)),
+            }, args.format)
+
+        transcript, final_state = run_game(
+            space, chooser, picker, _variant(args.variant),
+            rng=random.Random(args.seed), on_step=emit_step,
+        )
+        gd = table.gd
         _emit(out, {
-            "stage": stage,
-            "offered": sorted(space.label_set(step.offered)),
-            "picked": sorted(space.label_set(step.picks)),
-            "closure": sorted(space.label_set(step.closure_after)),
+            "length": transcript.length,
+            "gd": gd,
+            "matched_gd": transcript.length == gd,
         }, args.format)
-
-    transcript, final_state = run_game(
-        space, chooser, picker, _variant(args.variant),
-        rng=random.Random(args.seed), on_step=emit_step,
-    )
-    gd = table.gd
-    _emit(out, {
-        "length": transcript.length,
-        "gd": gd,
-        "matched_gd": transcript.length == gd,
-    }, args.format)
-    if args.ledger is not None:
-        _emit_all(None, agg.ledger_of(final_state).records(), "ndjson", args.ledger)
+        if ledger is not None:
+            for rec in agg.ledger_of(final_state).records():
+                _emit(ledger, rec, "ndjson")
     return 0
 
 
@@ -261,16 +282,20 @@ def cmd_enumerate(args, out, *_):
         stream = enumeration.enumerate_labeled(args.n, method=args.method)
     else:
         stream = enumeration.enumerate_unlabeled(args.n)
-    _emit_all(out, (space_to_json(space) for space in stream), args.format, args.out)
+    with _output(args.out, out) as dest:
+        for space in stream:
+            _emit(dest, space_to_json(space), args.format)
     return 0
 
 
 def cmd_suite(args, out, err, *_):
-    try:
-        ok, records = enumeration.verify_suite(args.n, checks=args.checks, seed=args.seed)
-    except enumeration.UnknownChecks as exc:
-        raise UsageError(str(exc)) from exc
-    _emit_all(out, records, args.format, args.report)
+    with _output(args.report, out) as stream:
+        try:
+            ok, records = enumeration.verify_suite(args.n, checks=args.checks, seed=args.seed)
+        except enumeration.UnknownChecks as exc:
+            raise UsageError(str(exc)) from exc
+        for rec in records:
+            _emit(stream, rec, args.format)
     passed = sum(1 for r in records if r["status"] == "pass")
     err.write(f"{passed}/{len(records)} checks passed\n")
     return 0 if ok else 2
@@ -278,6 +303,11 @@ def cmd_suite(args, out, err, *_):
 
 def cmd_product(args, out, *_):
     spaces_list = [_read(p, load_space) for p in args.spaces]
+    total = size_product(s.n for s in spaces_list)
+    if total > MAX_POINTS:
+        raise UsageError(
+            f"the product would have {total} points; space files hold at most {MAX_POINTS}"
+        )
     prod = products.product(spaces_list)
     if args.out:
         _write(args.out, lambda path: save_space(prod.space, path))

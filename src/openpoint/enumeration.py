@@ -45,7 +45,7 @@ from .space import (
     subspace,
     to_preorder,
 )
-from .strategies import aggregate_chooser, dense_point_picker, pi_base_chooser, product_chooser
+from .strategies import aggregate_worst, dense_point_picker, pi_base_chooser, product_chooser
 
 FAMILY_METHOD_CAP = 4
 PREORDER_METHOD_CAP = 5
@@ -363,8 +363,7 @@ def _check_pair_strategies(x, y):
     worst = evaluate_chooser(prod.space, product_chooser(x, y, prod=prod))
     if not gd_prod <= worst <= pi_weight(x) * solved_gd(y):
         return {"product_worst": worst}
-    agg = aggregate_chooser([x, y], prod=prod)
-    agg_worst = evaluate_chooser(prod.space, agg)
+    agg_worst = aggregate_worst(prod)
     if agg_worst > gd_bound:
         return {"aggregate_worst": agg_worst, "bound": gd_bound}
     return None
@@ -380,7 +379,7 @@ def _check_pair_fan_link(x, y):
     # aggregate strategy's product-of-gd bound (kappa itself only bounds gd
     # transfinitely, where kappa many stages absorb)
     prod = product([x, y])
-    agg_worst = evaluate_chooser(prod.space, aggregate_chooser([x, y], prod=prod))
+    agg_worst = aggregate_worst(prod)
     if agg_worst > gd_x * gd_y:
         return {"aggregate_worst": agg_worst, "bound": gd_x * gd_y}
     return None

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import combinations, islice, product as iter_product
 from math import prod as size_product
+from operator import or_
 
 from .invariants import pi_weight
 from .space import (
@@ -26,7 +28,10 @@ from .space import (
 )
 
 POINTS_CAP = 4096
-SUBSET_LOOP_CAP = 1 << 12   # exhaustive A-loops beyond this are skipped
+# Cells of subproducts with more than 12 points (2^pts over this) stay
+# unknown.  The search no longer loops over pick-sets, so the cap bounds no
+# loop; it only decides which cells are left undecided.
+SUBSET_LOOP_CAP = 1 << 12
 FAMILY_TRY_CAP = 64
 
 
@@ -202,41 +207,71 @@ class FanTightnessVerdict:
         return self.status is not FanStatus.UNKNOWN
 
 
-def _table_dp(n_points: int, per_point) -> list[int]:
-    """tab[mask] = OR of per_point[x] over x in mask, for every subset."""
-    tab = [0] * (1 << n_points)
-    for mask in range(1, 1 << n_points):
-        low = mask & -mask
-        tab[mask] = tab[mask ^ low] | per_point[low.bit_length() - 1]
-    return tab
+def _slice_closures(space: FiniteSpace, keys, v: int) -> tuple[int, ...]:
+    """Inclusion-minimal closures of the minimal slices of ``v`` with dense projections.
 
-
-def _constrained_closures(sub, family, cl_tab, proj_tabs, factor_cl):
-    """Closures of every pick-set satisfying the per-member density constraint.
-
-    A set A qualifies when, for each family member V and each axis, the
-    factor closure of the projected A-and-V slice equals that of V itself.
-    Returns the deduplicated closures relevant to the conclusion check.
+    A slice S of the open V qualifies when, on every axis, the factor
+    closure of its projection equals that of V's projection.  Closure is
+    additive, so a point enters only through its key, its coordinates'
+    factor closures packed axis by axis into one integer: S qualifies when
+    the keys of its points cover the keys of V.  The key also fixes the
+    point's closure (the box of those factor closures), so one point per
+    key is enough.  The minimal slices are the minimal covers; each branch
+    covers the lowest bit still uncovered and is cut as soon as a point in
+    it becomes redundant, which no later point can undo.
     """
-    axes = range(len(sub.factors))
-    targets = [
-        tuple(factor_cl[ax][proj_tabs[ax][v]] for ax in axes)
-        for v in family
-    ]
-    out = set()
-    for a in range(1 << sub.space.n):
-        ok = True
-        for v, want in zip(family, targets):
-            sl = a & v
-            for ax in axes:
-                if factor_cl[ax][proj_tabs[ax][sl]] != want[ax]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(cl_tab[a])
-    return sorted(out)
+    rep: dict[int, int] = {}
+    for p in bits(v):
+        rep.setdefault(keys[p], p)
+    want = reduce(or_, rep, 0)
+    covers: set[int] = set()
+
+    def extend(chosen: list[int], covered: int) -> None:
+        if covered == want:
+            covers.add(sum(1 << rep[key] for key in chosen))
+            return
+        missing = want & ~covered
+        low = missing & -missing
+        for key in rep:
+            if key & low and _irredundant(chosen + [key]):
+                extend(chosen + [key], covered | key)
+
+    extend([], 0)
+    return inclusion_minimal(space.closure_of(s) for s in covers)
+
+
+def _irredundant(keys: list[int]) -> bool:
+    """Whether every key covers a bit that no other key in the list covers."""
+    for i, key in enumerate(keys):
+        rest = 0
+        for j, other in enumerate(keys):
+            if j != i:
+                rest |= other
+        if key & ~rest == 0:
+            return False
+    return True
+
+
+def _point_keys(sub: ProductSpace) -> list[int]:
+    """Each point's coordinates' factor closures, packed axis by axis."""
+    factor_cl = [f.point_closures() for f in sub.factors]
+    out = []
+    for p in range(sub.space.n):
+        key = shift = 0
+        for coord, pcl, f in zip(sub.decode(p), factor_cl, sub.factors):
+            key |= pcl[coord] << shift
+            shift += f.n
+        out.append(key)
+    return out
+
+
+def _fibres(sub: ProductSpace) -> list[int]:
+    """Every fibre: the points of ``sub`` with one given coordinate on one axis."""
+    per_axis = [[0] * size for size in sub.sizes]
+    for idx in range(sub.space.n):
+        for masks, coord in zip(per_axis, sub.decode(idx)):
+            masks[coord] |= 1 << idx
+    return [mask for masks in per_axis for mask in masks]
 
 
 def fan_tightness_check(factors, kappa: int,
@@ -250,12 +285,17 @@ def fan_tightness_check(factors, kappa: int,
     for a positive answer and deliberately bounded: cells it cannot settle
     make the verdict Unknown, never a refutation.
 
-    The conclusion closes the whole pick-set A.  Closing only the union S
-    of its family slices (A & V, V a member) gives the same verdict: S has
-    the same slices as A, so S qualifies and its closure is tested too;
-    cl(S) lies inside cl(A); and the conclusion is upward-closed in the
-    closed set.  More than 12 factors are refused before any product is
-    built: with at least two points each they exceed ``POINTS_CAP``.
+    No pick-set is enumerated.  A pick-set A qualifies when each slice
+    A & V (V a family member) has dense projections; that is upward-closed
+    in A and depends only on the slices.  The conclusion "some projection
+    of U minus D shrinks" is upward-closed in the closed set D.  So only the
+    closures of the minimal qualifying pick-sets decide a cell, and each is
+    a union of minimal qualifying slices, one per member; closure is
+    additive, so D runs over the unions of one minimal slice closure per
+    member.  A projection of U minus D shrinks exactly when some non-empty
+    fibre slice of U (its points with one coordinate on one axis) lies in
+    D.  More than 12 factors are refused before any product is built: with
+    at least two points each they exceed ``POINTS_CAP``.
     """
     factors = tuple(factors)
     if kappa < 1:
@@ -276,9 +316,8 @@ def fan_tightness_check(factors, kappa: int,
     for gamma_bits in range(1, 1 << k):
         gamma = tuple(i for i in range(k) if gamma_bits >> i & 1)
         sub = product([factors[g] for g in gamma])
-        pts = sub.space.n
         opens_nonempty = [u for u in sub.space.opens if u]
-        if (1 << pts) > SUBSET_LOOP_CAP:
+        if (1 << sub.space.n) > SUBSET_LOOP_CAP:
             unknown.extend((gamma, u) for u in opens_nonempty)
             continue
         if candidate_policy == "boxes":
@@ -287,35 +326,24 @@ def fan_tightness_check(factors, kappa: int,
             pool = opens_nonempty
         fam_size = min(kappa, len(pool))
         families = list(islice(combinations(pool, fam_size), FAMILY_TRY_CAP))
-        clpt = sub.space.point_closures()
-        cl_tab = _table_dp(pts, clpt)
-        proj_pt = [
-            [1 << sub.decode(i)[ax] for i in range(pts)]
-            for ax in range(len(gamma))
-        ]
-        proj_tabs = [_table_dp(pts, proj_pt[ax]) for ax in range(len(gamma))]
-        factor_cl = [
-            _table_dp(factors[g].n, factors[g].point_closures())
-            for g in gamma
-        ]
+        keys = _point_keys(sub)
+        member_closures = {
+            v: _slice_closures(sub.space, keys, v) for fam in families for v in fam
+        }
         closure_sets = [
-            _constrained_closures(sub, fam, cl_tab, proj_tabs, factor_cl)
+            inclusion_minimal(
+                reduce(or_, combo, 0)
+                for combo in iter_product(*(member_closures[v] for v in fam))
+            )
             for fam in families
         ]
+        fibres = _fibres(sub)
         for u in opens_nonempty:
-            found = None
+            slices = [u & f for f in fibres if u & f]
             for fam, dset in zip(families, closure_sets):
-                if all(
-                    any(
-                        proj_tabs[ax][u & ~d] != proj_tabs[ax][u]
-                        for ax in range(len(gamma))
-                    )
-                    for d in dset
-                ):
-                    found = fam
+                if all(any(s & ~d == 0 for s in slices) for d in dset):
+                    witness[(gamma, u)] = fam
                     break
-            if found is not None:
-                witness[(gamma, u)] = found
             else:
                 unknown.append((gamma, u))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .game import GameVariant, InvariantViolation, as_chooser, value_function
+from .game import GameVariant, InvariantViolation, as_chooser, evaluate_chooser, value_function
 from .products import ProductSpace, product
 from .space import FiniteSpace, TopologyError, bits, is_dense, minimal_opens
 
@@ -380,3 +380,18 @@ def aggregate_chooser(spaces, sub_strategies=None, gamma_enum=None,
     if sub_strategies is None:
         sub_strategies = [optimal_chooser(s, variant) for s in spaces]
     return AggregateChooser(spaces, sub_strategies, gamma_enum, prod, variant)
+
+
+def aggregate_worst(prod: ProductSpace,
+                    variant: GameVariant = GameVariant.RESTRICTED) -> int:
+    """Worst case of the aggregate chooser on ``prod``, once per product and variant.
+
+    ``evaluate_chooser`` of ``aggregate_chooser(prod.factors)``; only the
+    integer is kept on the product space, as ``solved_gd`` does.
+    """
+    slot = ("aggregate_worst", variant)
+    got = prod.space._cache.get(slot)
+    if got is None:
+        agg = aggregate_chooser(prod.factors, prod=prod, variant=variant)
+        got = prod.space._cache[slot] = evaluate_chooser(prod.space, agg, variant)
+    return got

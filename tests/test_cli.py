@@ -10,7 +10,7 @@ import openpoint
 from openpoint.cli import run
 from openpoint.space import space_from_json, space_to_json
 
-from .conftest import make_discrete, make_sierpinski
+from .conftest import make_discrete, make_indiscrete, make_sierpinski
 
 
 @pytest.fixture
@@ -149,6 +149,17 @@ class TestPlay:
         keys = [(e["alpha"], e["beta"], e["eta"], e["epsilon"]) for e in entries]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
+    def test_unwritable_ledger_fails_before_any_stage(self, tmp_path, sierpinski_file,
+                                                      discrete2_file):
+        ledger_path = tmp_path / "missing-dir" / "ledger.ndjson"
+        code, out, err = invoke([
+            "play", discrete2_file, sierpinski_file, "--pI", "aggregate",
+            "--ledger", str(ledger_path),
+        ])
+        # the interactive picker would prompt on stderr before the first stage
+        assert code == 1 and not out
+        assert err.startswith(f"error: cannot write {ledger_path}: ")
+
     def test_ledger_without_aggregate_rejected(self, sierpinski_file):
         code, _, err = invoke(["play", sierpinski_file, "--ledger", "x.ndjson"])
         assert code == 1 and "ledger" in err
@@ -193,6 +204,23 @@ class TestSuite:
         code, out, err = invoke(["suite", "--n", "2", "--checks", "chain,nope"])
         assert code == 1 and not out and "unknown checks: ['nope']" in err
 
+    def test_failed_suite_leaves_no_report(self, tmp_path):
+        report = tmp_path / "r.ndjson"
+        code, _, err = invoke(["suite", "--n", "2", "--checks", "nope",
+                               "--report", str(report)])
+        assert code == 1 and "unknown checks" in err and not report.exists()
+
+    def test_unwritable_report_fails_before_the_suite_runs(self, tmp_path, monkeypatch):
+        from openpoint import enumeration
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the suite ran before the report path was tried")
+
+        monkeypatch.setattr(enumeration, "verify_suite", boom)
+        report = tmp_path / "missing-dir" / "r.ndjson"
+        code, out, err = invoke(["suite", "--n", "3", "--report", str(report)])
+        assert code == 1 and not out and "cannot write" in err
+
     def test_error_inside_a_check_propagates(self, monkeypatch):
         from openpoint import enumeration
 
@@ -219,6 +247,28 @@ class TestProduct:
         invoke(["product", discrete2_file, sierpinski_file, "-o", str(out_path)])
         _, text, _ = invoke(["product", discrete2_file, sierpinski_file])
         assert out_path.read_text() == json.dumps(json.loads(text)) + "\n"
+
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["file", "stdout"])
+    def test_product_over_the_space_file_cap_is_refused(self, tmp_path, monkeypatch,
+                                                        to_file):
+        from openpoint import products
+
+        paths = []
+        for n in (3, 3, 2):
+            path = tmp_path / f"i{n}.json"
+            path.write_text(json.dumps(space_to_json(make_indiscrete(n))))
+            paths.append(str(path))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("no product may be built")
+
+        monkeypatch.setattr(products, "product", boom)
+        out_path = tmp_path / "prod.json"
+        argv = ["product", *paths] + (["-o", str(out_path)] if to_file else [])
+        code, out, err = invoke(argv)
+        assert code == 1 and not out and not out_path.exists()
+        assert "18 points" in err and "16" in err
 
 
 class TestFanCheck:

@@ -26,6 +26,7 @@ from openpoint.space import (
 )
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski
+from .fan_oracle import fan_tightness_oracle
 from .util import spaces
 
 
@@ -247,6 +248,23 @@ class TestSufficientCondition:
                           SufficientConditionResult)
 
 
+def _same_verdict(got, want):
+    assert got.witness == want.witness
+    assert got.unknown_cells == want.unknown_cells
+    assert got.status is want.status
+
+
+@st.composite
+def small_factor_lists(draw, max_points=12):
+    """One to three random factors whose product has at most ``max_points`` points."""
+    factors = [draw(spaces(max_points=4))]
+    room = max_points // factors[0].n
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        factors.append(draw(spaces(max_points=min(4, room))))
+        room //= factors[-1].n
+    return factors
+
+
 class TestFanTightness:
     def test_sierpinski_pair_holds(self):
         s = make_sierpinski()
@@ -270,6 +288,15 @@ class TestFanTightness:
                 boxes = fan_tightness_check([x, y], 3, "boxes")
                 allo = fan_tightness_check([x, y], 3, "all")
                 assert boxes.holds and allo.holds
+                _same_verdict(boxes, fan_tightness_oracle([x, y], 3, "boxes"))
+                _same_verdict(allo, fan_tightness_oracle([x, y], 3, "all"))
+
+    @given(small_factor_lists(), st.sampled_from(["boxes", "all"]),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=40, deadline=None)
+    def test_slice_search_matches_the_pick_set_scan(self, factors, pool, kappa):
+        got = fan_tightness_check(factors, kappa, pool)
+        _same_verdict(got, fan_tightness_oracle(factors, kappa, pool))
 
     def test_large_subproduct_falls_back_to_sufficient_condition(self):
         d4 = make_discrete(4)

@@ -21,6 +21,7 @@ from openpoint.strategies import (
     OrderedPiBase,
     PhaseLedger,
     aggregate_chooser,
+    aggregate_worst,
     dense_point_picker,
     minimal_pi_base,
     optimal_chooser,
@@ -247,3 +248,23 @@ class TestAggregateChooser:
         agg = aggregate_chooser([x, y, x])
         worst = evaluate_chooser(agg.prod.space, agg)
         assert worst <= 2  # product of the three gd values
+
+    @pytest.mark.parametrize("variant", list(GameVariant))
+    def test_aggregate_worst_is_evaluated_once_per_product_and_variant(self, monkeypatch,
+                                                                      variant):
+        import openpoint.strategies as strategies
+
+        x, y = make_discrete(2), make_sierpinski()
+        prod = product([x, y])
+        agg = aggregate_chooser([x, y], prod=prod, variant=variant)
+        want = evaluate_chooser(prod.space, agg, variant)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate_chooser(*args)
+
+        monkeypatch.setattr(strategies, "evaluate_chooser", counted)
+        assert aggregate_worst(prod, variant) == want
+        assert aggregate_worst(prod, variant) == want
+        assert len(calls) == 1
