@@ -192,12 +192,8 @@ def _build_chooser(args, spaces_list, prod, table):
     if name == "product":
         if len(spaces_list) != 2:
             raise UsageError("--pI product wants exactly two space files")
-        return strategies.product_chooser(
-            spaces_list[0], spaces_list[1], prod=prod, variant=_variant(args.variant)
-        ), None
-    agg = strategies.aggregate_chooser(
-        spaces_list, prod=prod, variant=_variant(args.variant)
-    )
+        return strategies.product_chooser(spaces_list[0], spaces_list[1], prod=prod), None
+    agg = strategies.aggregate_chooser(spaces_list, prod=prod)
     return agg, agg
 
 
@@ -213,9 +209,27 @@ def _build_picker(args, space, table):
     if args.picker == "dense":
         mask = space.full
         if args.dense_set is not None:
-            mask = space.mask_of(args.dense_set.split(","))
+            mask = space.mask_of(_split_labels(args.dense_set))
         return strategies.dense_point_picker(space, mask)
     return None  # interactive
+
+
+def _split_labels(text: str) -> list[str]:
+    """Split a label list at the commas outside parentheses.
+
+    Product labels such as ``(a,(b,c))`` keep their inner commas.
+    """
+    labels, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            labels.append(text[start:i])
+            start = i + 1
+    labels.append(text[start:])
+    return labels
 
 
 def _interactive_picker(space, err, stdin):

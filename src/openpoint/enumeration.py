@@ -219,23 +219,31 @@ def _check_chain(space):
     return None
 
 
+def _oracle(space, key: str) -> int:
+    """One brute-route value per space and key, kept as an int on the space.
+
+    The report's d, delta, gd and pi are all |minimal opens|, so ``collapse``
+    compares these routes, and ``oracles`` reuses what it computed.
+    """
+    values = space._cache.setdefault("oracles", {})
+    if key not in values:
+        routes = {"d": density_brute, "pi": pi_weight_brute, "w": weight_brute,
+                  "delta": delta_oracle, "gd": solved_gd, "t": tightness}
+        values[key] = routes[key](space)
+    return values[key]
+
+
 def _check_collapse(space):
-    rep = invariant_report(space)
-    if not rep.collapsed:
-        return rep.as_record(space)
+    got = {key: _oracle(space, key) for key in ("d", "delta", "gd", "pi")}
+    if len(set(got.values())) != 1:
+        return {**invariant_report(space).as_record(space), **got}
     return None
 
 
 def _check_oracles(space):
     rep = invariant_report(space)
-    pairs = {
-        "d": (rep.d, density_brute(space)),
-        "pi": (rep.pi, pi_weight_brute(space)),
-        "w": (rep.w, weight_brute(space)),
-        "delta": (rep.delta, delta_oracle(space)),
-        "gd": (rep.gd, solved_gd(space)),
-        "t": (rep.t, tightness(space)),
-    }
+    pairs = {key: (getattr(rep, key), _oracle(space, key))
+             for key in ("d", "pi", "w", "delta", "gd", "t")}
     bad = {k: v for k, v in pairs.items() if v[0] != v[1]}
     return bad or None
 

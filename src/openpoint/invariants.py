@@ -90,34 +90,14 @@ def weight_brute(space: FiniteSpace) -> int:
     raise AssertionError("the family of all non-empty opens is a base")
 
 
-def _least_dense_within(space: FiniteSpace, dense_set: int) -> int:
-    """min |D| over D inside ``dense_set`` with closure(D) = X.
-
-    Valid for dense input only: such a D must pick at least one point in
-    each (pairwise disjoint) minimal open, and one per open suffices.
-    """
-    picks = 0
-    for m in minimal_opens(space):
-        inside = m & dense_set
-        if not inside:
-            raise ValueError("input set is not dense")
-        picks |= inside & -inside
-    if closure(space, picks) != space.full:
-        raise AssertionError("one point per minimal open is dense")
-    return popcount(picks)
-
-
 def delta(space: FiniteSpace) -> int:
-    """sup of densities of dense subsets, pruned route.
+    """sup of densities of dense subsets = number of minimal opens.
 
-    Uses the fact that a subset of a dense set A that is dense in A is
-    dense in the whole space, so subspace topologies never get built here.
+    A set dense in a dense A is dense in the whole space, so it meets every
+    (pairwise disjoint) minimal open; one point of A in each is already
+    dense in A.  Every dense subset thus has density |minimal opens|.
     """
-    best = 0
-    for a in range(1, space.full + 1):
-        if is_dense(space, a):
-            best = max(best, _least_dense_within(space, a))
-    return best
+    return len(minimal_opens(space))
 
 
 def delta_oracle(space: FiniteSpace) -> int:
@@ -160,10 +140,6 @@ class InvariantReport:
     def chain_ok(self) -> bool:
         """1 <= d <= delta <= gd <= pi <= w, with w <= 2^n - 2 checked by caller."""
         return 1 <= self.d <= self.delta <= self.gd <= self.pi <= self.w
-
-    @property
-    def collapsed(self) -> bool:
-        return self.d == self.delta == self.gd == self.pi
 
     def as_record(self, space: FiniteSpace) -> dict:
         return {

@@ -209,18 +209,14 @@ def random_pseudometrics(count: int, max_points: int, seed: int):
 
 
 def _parse_distance(v) -> Fraction:
-    if isinstance(v, bool):
-        raise InvalidMetric(f"bad distance value {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(str(v))
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except ValueError as exc:
-            raise InvalidMetric(f"bad distance string {v!r}") from exc
-    raise InvalidMetric(f"bad distance value {v!r}")
+    """A finite exact distance from a JSON number or a fraction string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise InvalidMetric(f'field "dist" holds a bad distance {v!r}')
+    try:
+        # NaN and the infinities fail here, as does a zero denominator
+        return Fraction(str(v) if isinstance(v, float) else v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidMetric(f'field "dist" holds a bad distance {v!r}') from exc
 
 
 def metric_from_json(obj: dict) -> PseudometricSpace:
@@ -231,8 +227,8 @@ def metric_from_json(obj: dict) -> PseudometricSpace:
         dist = obj["dist"]
     except KeyError as exc:
         raise InvalidMetric(f"metric object is missing field {exc}") from exc
-    if not is_str_list(points):
-        raise InvalidMetric('field "points" must be a list of strings')
+    if not is_str_list(points) or not points:
+        raise InvalidMetric('field "points" must be a non-empty list of strings')
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise InvalidMetric('field "dist" must be a list of lists')
     return pseudometric(points, [[_parse_distance(v) for v in row] for row in dist])

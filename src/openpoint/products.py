@@ -24,7 +24,6 @@ from .space import (
     from_preorder,
     inclusion_minimal,
     minimal_opens,
-    subspace,
 )
 
 POINTS_CAP = 4096
@@ -94,14 +93,14 @@ def product(factors, name: str | None = None) -> ProductSpace:
 
     The first factor remembers its most recent product of each arity, so
     repeated calls on the same factors return the same (immutable) object.
-    The key holds every factor's name, labels and opens: space equality
-    ignores names and labels, but the product's name and labels come from
-    them.
+    The key holds every factor's name, labels and N(x) rows, which is all
+    the build reads (equal rows mean equal opens): space equality ignores
+    names and labels, but the product's name and labels come from them.
     """
     factors = tuple(factors)
     if not factors:
         raise ValueError("a product needs at least one factor")
-    key = (name, tuple((f.name, f.point_labels, f.opens) for f in factors))
+    key = (name, tuple((f.name, f.point_labels, f.nbhds) for f in factors))
     slot = ("product", len(factors))
     got = factors[0]._cache.get(slot)
     if got is not None and got[0] == key:
@@ -153,39 +152,22 @@ class SufficientConditionResult:
         return self.holds
 
 
-def _shrinks_below(space: FiniteSpace, kappa: int) -> bool:
-    """Every non-empty open contains a non-empty open of pi-weight <= kappa."""
-    for v in space.opens:
-        if not v:
-            continue
-        if not any(
-            w and v & w == w and pi_weight(subspace(space, w)) <= kappa
-            for w in space.opens
-        ):
-            return False
-    return True
-
-
 def sufficient_condition_check(factors, kappa: int) -> SufficientConditionResult:
     """Cheap criterion implying the fan-tightness condition.
 
     Factors of pi-weight above kappa must shrink below it inside every open
     (those are the designated ones); the rest must have pi-weight <= kappa,
-    and there may be at most kappa factors.
+    and there may be at most kappa factors.  On a finite space every factor
+    shrinks: each non-empty open holds a minimal open, an indiscrete
+    subspace of pi-weight 1 <= kappa.  So only the factor count decides.
     """
+    if kappa < 1:
+        raise ValueError("kappa must be at least 1")
     factors = tuple(factors)
     sigma_ok = len(factors) <= kappa
-    designated = []
-    ok = sigma_ok
-    for i, f in enumerate(factors):
-        if pi_weight(f) <= kappa:
-            continue
-        if _shrinks_below(f, kappa):
-            designated.append(i)
-        else:
-            ok = False
+    designated = tuple(i for i, f in enumerate(factors) if pi_weight(f) > kappa)
     return SufficientConditionResult(
-        holds=ok, kappa=kappa, designated=tuple(designated), sigma_ok=sigma_ok
+        holds=sigma_ok, kappa=kappa, designated=designated, sigma_ok=sigma_ok
     )
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .game import GameVariant, InvariantViolation, as_chooser, evaluate_chooser, value_function
 from .products import ProductSpace, product
-from .space import FiniteSpace, TopologyError, bits, is_dense, minimal_opens
+from .space import FiniteSpace, TopologyError, is_dense, minimal_opens
 
 
 class NotDense(TopologyError):
@@ -117,18 +117,18 @@ class ProductChooser:
     Sub-game i offers base[i] x V with V from the Y-strategy fed by the
     Y-projections of the points picked inside sub-game i; a sub-game is
     finished once those projections are dense in Y.  The cursor round-robins
-    over unfinished sub-games; when every sub-game is finished the picks hit
-    every box base[i] x V, so the product game is already over.
+    over unfinished sub-games.  Every pi-base holds every minimal open M of
+    X, and a finished sub-game on M has a pick in every M x N (N minimal in
+    Y), so once every sub-game is finished the picks are dense and the game
+    is over: an idle state is an ``InvariantViolation`` in every variant.
     """
 
-    def __init__(self, prod: ProductSpace, base: OrderedPiBase, sub_y,
-                 variant: GameVariant = GameVariant.RESTRICTED):
+    def __init__(self, prod: ProductSpace, base: OrderedPiBase, sub_y):
         if len(prod.factors) != 2:
             raise ValueError("product strategy wants exactly two factors")
         self.prod = prod
         self.base = base
         self.sub = as_chooser(sub_y)
-        self.variant = variant
         self.y_space = prod.factors[1]
 
     def initial_state(self):
@@ -141,25 +141,17 @@ class ProductChooser:
             idx = (cursor + step) % len(subgames)
             if subgames[idx][0] != self.y_space.full:
                 return idx
-        return None
+        raise InvariantViolation("all sub-games finished before the game ended")
 
     def choose(self, closed, state):
         idx = self._current(state)
-        if idx is None:
-            # unreachable for a true pi-base: all sub-games done means dense
-            if self.variant is GameVariant.FREE:
-                cursor = state[0] % len(self.base.members)
-                return self.prod.box_mask([self.base.members[cursor], self.y_space.full])
-            raise InvariantViolation("all sub-games finished before the game ended")
         y_closed, sub_state = state[1][idx]
         v = self.sub.choose(y_closed, sub_state)
         return self.prod.box_mask([self.base.members[idx], v])
 
     def observe(self, state, closed, move, picks):
         idx = self._current(state)
-        cursor, subgames = state
-        if idx is None:
-            return ((cursor + 1) % len(subgames), subgames)
+        subgames = state[1]
         y_closed, sub_state = subgames[idx]
         v = self.prod.proj_mask(move, 1)
         y_picks = self.prod.proj_mask(picks, 1)
@@ -170,12 +162,17 @@ class ProductChooser:
 
 
 def product_chooser(x: FiniteSpace, y: FiniteSpace, base_x: OrderedPiBase | None = None,
-                    sub_y=None, prod: ProductSpace | None = None,
-                    variant: GameVariant = GameVariant.RESTRICTED) -> ProductChooser:
+                    sub_y=None, prod: ProductSpace | None = None) -> ProductChooser:
+    """The product strategy; the Y-strategy defaults to the minimal pi-base.
+
+    At every closed state the least minimal open avoiding it is the
+    solver's best move in every variant (each stage covers exactly one
+    minimal open), so the default plays optimally without a game table.
+    """
     prod = prod or product([x, y])
     base_x = base_x or minimal_pi_base(x)
-    sub_y = sub_y if sub_y is not None else optimal_chooser(y, variant)
-    return ProductChooser(prod, base_x, sub_y, variant)
+    sub_y = sub_y if sub_y is not None else pi_base_chooser(y)
+    return ProductChooser(prod, base_x, sub_y)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +242,16 @@ class AggregateChooser:
     the picker is forced to hit.  Epsilon counts innings inside a phase
     triple, and the resulting (alpha, beta, eta, epsilon) log is strictly
     increasing in lexicographic order.
+
+    The minimal opens of a subproduct are the boxes of factor minimal opens,
+    and a set is dense exactly when it meets every minimal open.  So the
+    projection to an index set is dense exactly when the picks meet every
+    cylinder over such a box (the box on the indexed axes, the whole factor
+    elsewhere); no subproduct is built.
     """
 
     def __init__(self, spaces, sub_strategies, gamma_enum=None,
-                 prod: ProductSpace | None = None,
-                 variant: GameVariant = GameVariant.RESTRICTED):
+                 prod: ProductSpace | None = None):
         self.spaces = tuple(spaces)
         k = len(self.spaces)
         if k < 1:
@@ -257,7 +259,6 @@ class AggregateChooser:
         if len(sub_strategies) != k:
             raise ValueError("one sub-strategy per space")
         self.subs = [as_chooser(s) for s in sub_strategies]
-        self.variant = variant
         self.prod = prod or product(self.spaces)
         all_gammas = [
             tuple(i for i in range(k) if g >> i & 1) for g in range(1, 1 << k)
@@ -265,21 +266,16 @@ class AggregateChooser:
         self.gammas = list(gamma_enum) if gamma_enum is not None else all_gammas
         if sorted(set(self.gammas)) != sorted(all_gammas):
             raise ValueError("gamma enumeration must cover every non-empty index set")
-        full_gamma = tuple(range(k))
-        self.subproducts = {}
-        for gamma in self.gammas:
-            if gamma == full_gamma:
-                self.subproducts[gamma] = self.prod
-            elif gamma not in self.subproducts:
-                self.subproducts[gamma] = product([self.spaces[g] for g in gamma])
         self.fmins = [minimal_opens(f) for f in self.spaces]
         self.pools = {}
-        for gamma in self.subproducts:
-            sub = self.subproducts[gamma]
-            combos = list(iter_product(*[self.fmins[g] for g in gamma]))
-            self.pools[gamma] = [
-                (combo, sub.box_mask(combo)) for combo in combos
-            ]
+        for gamma in self.gammas:
+            pool = []
+            for combo in iter_product(*[self.fmins[g] for g in gamma]):
+                parts = [f.full for f in self.spaces]
+                for g, m in zip(gamma, combo):
+                    parts[g] = m
+                pool.append((combo, self.prod.box_mask(parts)))
+            self.pools[gamma] = pool
 
     def initial_state(self) -> AggState:
         return AggState(
@@ -292,24 +288,22 @@ class AggregateChooser:
     def ledger_of(self, state: AggState) -> PhaseLedger:
         return PhaseLedger(entries=state.ledger)
 
-    def _gamma_proj(self, gamma, picks: int) -> int:
-        sub = self.subproducts[gamma]
-        out = 0
-        for idx in bits(picks):
-            coords = self.prod.decode(idx)
-            out |= 1 << sub.encode(tuple(coords[g] for g in gamma))
-        return out
-
-    def _target_met(self, gamma, picks: int) -> bool:
-        sub = self.subproducts[gamma]
-        return sub.space.closure_of(self._gamma_proj(gamma, picks)) == sub.space.full
+    def _first_missed(self, gamma, picks: int):
+        """Index of the first cylinder of ``gamma`` the picks miss, or None."""
+        for i, (_, cylinder) in enumerate(self.pools[gamma]):
+            if not cylinder & picks:
+                return i
+        return None
 
     def _plan(self, state: AggState) -> Plan:
         picks = state.picks
         phase = state.phase
-        while phase < len(self.gammas) and self._target_met(self.gammas[phase], picks):
+        while phase < len(self.gammas):
+            missed = self._first_missed(self.gammas[phase], picks)
+            if missed is not None:
+                break
             phase += 1
-        if phase == len(self.gammas):
+        else:
             raise InvariantViolation("asked for a move after every phase target was met")
         gamma = self.gammas[phase]
         closeds = {g: self.spaces[g].closure_of(self.prod.proj_mask(picks, g)) for g in gamma}
@@ -323,18 +317,8 @@ class AggregateChooser:
                 else:
                     parts[g] = self.fmins[g][0]
         else:
-            proj = self._gamma_proj(gamma, picks)
-            pick_idx = None
-            for i, (combo, box) in enumerate(self.pools[gamma]):
-                if not box & proj:
-                    pick_idx = i
-                    break
-            if pick_idx is None:
-                raise InvariantViolation(
-                    "phase target unmet although every candidate box is hit"
-                )
-            beta, eta = len(gamma), pick_idx + 1
-            combo = self.pools[gamma][pick_idx][0]
+            beta, eta = len(gamma), missed + 1
+            combo = self.pools[gamma][missed][0]
             for pos, g in enumerate(gamma):
                 parts[g] = combo[pos]
             for g in range(len(self.spaces)):
@@ -374,12 +358,16 @@ class AggregateChooser:
 
 
 def aggregate_chooser(spaces, sub_strategies=None, gamma_enum=None,
-                      prod: ProductSpace | None = None,
-                      variant: GameVariant = GameVariant.RESTRICTED) -> AggregateChooser:
+                      prod: ProductSpace | None = None) -> AggregateChooser:
+    """The aggregate strategy; each sub-strategy defaults to the minimal pi-base.
+
+    As in ``product_chooser``, the pi-base move is the solver's best move at
+    every closed state, in every variant.
+    """
     spaces = tuple(spaces)
     if sub_strategies is None:
-        sub_strategies = [optimal_chooser(s, variant) for s in spaces]
-    return AggregateChooser(spaces, sub_strategies, gamma_enum, prod, variant)
+        sub_strategies = [pi_base_chooser(s) for s in spaces]
+    return AggregateChooser(spaces, sub_strategies, gamma_enum, prod)
 
 
 def aggregate_worst(prod: ProductSpace,
@@ -392,6 +380,6 @@ def aggregate_worst(prod: ProductSpace,
     slot = ("aggregate_worst", variant)
     got = prod.space._cache.get(slot)
     if got is None:
-        agg = aggregate_chooser(prod.factors, prod=prod, variant=variant)
+        agg = aggregate_chooser(prod.factors, prod=prod)
         got = prod.space._cache[slot] = evaluate_chooser(prod.space, agg, variant)
     return got

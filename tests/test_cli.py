@@ -160,6 +160,25 @@ class TestPlay:
         assert code == 1 and not out
         assert err.startswith(f"error: cannot write {ledger_path}: ")
 
+    def test_dense_set_names_product_points(self, tmp_path, sierpinski_file):
+        code, out, err = invoke([
+            "play", sierpinski_file, sierpinski_file,
+            "--pI", "pi-base", "--pII", "dense", "--dense-set", "(b,b)",
+        ])
+        assert code == 0, err
+        steps = ndjson_lines(out)
+        assert steps[0]["picked"] == ["(b,b)"]
+        assert steps[-1] == {"length": 1, "gd": 1, "matched_gd": True}
+        # nested labels: a product file used as a factor again
+        square = tmp_path / "square.json"
+        assert invoke(["product", sierpinski_file, sierpinski_file, "-o", str(square)])[0] == 0
+        code, out, err = invoke([
+            "play", str(square), sierpinski_file, "--pI", "pi-base", "--pII", "dense",
+            "--dense-set", "((a,b),b),((b,b),b)",
+        ])
+        assert code == 0, err
+        assert ndjson_lines(out)[0]["picked"] == ["((b,b),b)"]
+
     def test_ledger_without_aggregate_rejected(self, sierpinski_file):
         code, _, err = invoke(["play", sierpinski_file, "--ledger", "x.ndjson"])
         assert code == 1 and "ledger" in err
@@ -358,11 +377,16 @@ class TestGreedy:
         ('field "dist"', {"points": ["a", "b"], "dist": [5]}),
         ("JSON object", ["a", "b"]),
         ('field "points"', {"points": "ab", "dist": [["0", "1"], ["1", "0"]]}),
-    ], ids=["dist-integer", "dist-row-integer", "list-top-level", "points-string"])
+        ('field "points"', {"points": [], "dist": []}),
+        ('field "dist"', {"points": ["a", "b"], "dist": [[0, float("nan")], [float("nan"), 0]]}),
+        ('field "dist"', {"points": ["a", "b"], "dist": [[0, float("inf")], [float("inf"), 0]]}),
+        ('field "dist"', {"points": ["a", "b"], "dist": [["0", "1/0"], ["1/0", "0"]]}),
+    ], ids=["dist-integer", "dist-row-integer", "list-top-level", "points-string",
+            "points-empty", "dist-nan", "dist-infinity", "dist-zero-denominator"])
     def test_malformed_metric_fails(self, tmp_path, message, obj):
         # an exception escaping run() would fail the test before the assert
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(json.dumps(obj))  # NaN and Infinity as the JSON literals
         code, out, err = invoke(["greedy", str(path)])
         assert code == 1 and not out and message in err
 

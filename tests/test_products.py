@@ -23,6 +23,7 @@ from openpoint.space import (
     space_from_json,
     space_from_masks,
     space_to_json,
+    subspace,
 )
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski
@@ -246,6 +247,45 @@ class TestSufficientCondition:
     def test_result_is_boolean_like(self):
         assert isinstance(sufficient_condition_check([make_sierpinski()], 1),
                           SufficientConditionResult)
+
+    def test_kappa_must_be_positive(self):
+        with pytest.raises(ValueError):
+            sufficient_condition_check([make_sierpinski()], 0)
+
+    def test_every_space_shrinks_below_every_kappa(self, labeled_corpus):
+        # the shrinking scan the check no longer runs, as its oracle
+        for kappa in (1, 2, 3):
+            for n, corpus in labeled_corpus.items():
+                for space in corpus:
+                    assert shrinks_below(space, kappa), (kappa, space.name)
+
+    @given(st.lists(spaces(max_points=4), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60)
+    def test_matches_the_shrinking_scan(self, factors, kappa):
+        designated, ok = [], len(factors) <= kappa
+        for i, f in enumerate(factors):
+            if pi_weight(f) <= kappa:
+                continue
+            if shrinks_below(f, kappa):
+                designated.append(i)
+            else:
+                ok = False
+        got = sufficient_condition_check(factors, kappa)
+        assert (got.holds, got.designated) == (ok, tuple(designated))
+
+
+def shrinks_below(space, kappa):
+    """Every non-empty open contains a non-empty open of pi-weight <= kappa."""
+    for v in space.opens:
+        if not v:
+            continue
+        if not any(
+            w and v & w == w and pi_weight(subspace(space, w)) <= kappa
+            for w in space.opens
+        ):
+            return False
+    return True
 
 
 def _same_verdict(got, want):

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from openpoint.game import (
     GameVariant,
+    InvariantViolation,
+    StrategyTable,
     evaluate_chooser,
     optimal_picker,
     play_transcript,
@@ -13,7 +15,7 @@ from openpoint.game import (
 )
 from openpoint.invariants import density, pi_weight
 from openpoint.products import product
-from openpoint.space import is_dense, subspace
+from openpoint.space import bits, is_dense, subspace
 from openpoint.strategies import (
     LedgerEntry,
     LedgerOrderViolation,
@@ -69,6 +71,18 @@ class TestPiBaseChooser:
         )
         worst = evaluate_chooser(two_sierpinski, pi_base_chooser(two_sierpinski, base))
         assert worst <= len(base)
+
+    @given(spaces(max_points=4), st.sampled_from(list(GameVariant)))
+    @settings(max_examples=60)
+    def test_plays_the_solver_best_move_at_every_closed_state(self, space, variant):
+        # the game table the product strategies no longer build, as the oracle
+        table = StrategyTable(space, variant)
+        choose = pi_base_chooser(space)
+        for u in space.opens:
+            closed = space.full & ~u
+            if closed != space.full:
+                table(closed)
+                assert choose(closed, 0) == table.best_move[closed], closed
 
     def test_any_base_order_bounded_by_length(self, small_spaces):
         # the bound must not depend on the base being minimal or well-ordered
@@ -183,6 +197,16 @@ class TestProductChooser:
         worst = evaluate_chooser(prod.space, product_chooser(x, y, prod=prod))
         assert solve_game(prod.space).gd <= worst <= pi_weight(x) * solve_game(y).gd
 
+    @pytest.mark.parametrize("variant", list(GameVariant))
+    def test_free_and_multi_point_play_never_idles(self, variant):
+        x, y = make_discrete(2), make_two_sierpinski()
+        prod = product([x, y])
+        chooser = product_chooser(x, y, prod=prod)
+        assert evaluate_chooser(prod.space, chooser, variant) == 4
+        done = (0, tuple((y.full, 0) for _ in range(2)))
+        with pytest.raises(InvariantViolation, match="all sub-games finished"):
+            chooser.choose(0, done)
+
     def test_transcript_against_stalling_picker(self):
         x, y = make_discrete(2), make_sierpinski()
         prod = product([x, y])
@@ -249,6 +273,23 @@ class TestAggregateChooser:
         worst = evaluate_chooser(agg.prod.space, agg)
         assert worst <= 2  # product of the three gd values
 
+    @given(spaces(max_points=3), spaces(max_points=3), st.data())
+    @settings(max_examples=60)
+    def test_cylinder_target_matches_the_subproduct_closure(self, x, y, data):
+        # the subproduct-closure phase target the chooser no longer builds
+        prod = product([x, y])
+        agg = aggregate_chooser([x, y], prod=prod)
+        for _ in range(8):
+            picks = data.draw(st.integers(min_value=0, max_value=prod.space.full))
+            for gamma in agg.gammas:
+                sub = product([agg.spaces[g] for g in gamma])
+                proj = 0
+                for idx in bits(picks):
+                    coords = prod.decode(idx)
+                    proj |= 1 << sub.encode(tuple(coords[g] for g in gamma))
+                dense = sub.space.closure_of(proj) == sub.space.full
+                assert (agg._first_missed(gamma, picks) is None) == dense
+
     @pytest.mark.parametrize("variant", list(GameVariant))
     def test_aggregate_worst_is_evaluated_once_per_product_and_variant(self, monkeypatch,
                                                                       variant):
@@ -256,7 +297,7 @@ class TestAggregateChooser:
 
         x, y = make_discrete(2), make_sierpinski()
         prod = product([x, y])
-        agg = aggregate_chooser([x, y], prod=prod, variant=variant)
+        agg = aggregate_chooser([x, y], prod=prod)
         want = evaluate_chooser(prod.space, agg, variant)
         calls = []
 
