@@ -40,7 +40,6 @@ from .products import (
 from .space import (
     FiniteSpace,
     PointSet,
-    Preorder,
     TopologyError,
     TooLarge,
     closure,

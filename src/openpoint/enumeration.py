@@ -43,7 +43,6 @@ from .space import (
     minimal_opens,
     space_from_masks,
     subspace,
-    to_preorder,
 )
 from .strategies import aggregate_worst, dense_point_picker, pi_base_chooser, product_chooser
 
@@ -191,8 +190,10 @@ def _check_kuratowski(space):
 
 
 def _check_roundtrip(space):
-    back = from_preorder(to_preorder(space))
-    if back != space:
+    # equal rows make equal spaces, so the lattices are compared: the up-sets
+    # of the rows against the family validation accepted
+    back = from_preorder(space.nbhds)
+    if back.opens != space.opens:
         return {"rebuilt_opens": list(back.opens)}
     return None
 
@@ -225,7 +226,7 @@ def _oracle(space, key: str) -> int:
     The report's d, delta, gd and pi are all |minimal opens|, so ``collapse``
     compares these routes, and ``oracles`` reuses what it computed.
     """
-    values = space._cache.setdefault("oracles", {})
+    values = space.memo("oracles", dict)
     if key not in values:
         routes = {"d": density_brute, "pi": pi_weight_brute, "w": weight_brute,
                   "delta": delta_oracle, "gd": solved_gd, "t": tightness}
@@ -260,9 +261,8 @@ def _check_variants(space):
 def _check_exact_force(space):
     forced = exact_force_set(space)
     rep = invariant_report(space)
-    for k in forced:
-        if not k == rep.gd == rep.delta == rep.d:
-            return {"forced": sorted(forced), "gd": rep.gd, "delta": rep.delta, "d": rep.d}
+    if forced != {rep.gd} or not rep.gd == rep.delta == rep.d:
+        return {"forced": sorted(forced), "gd": rep.gd, "delta": rep.delta, "d": rep.d}
     return None
 
 

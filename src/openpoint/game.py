@@ -20,6 +20,7 @@ from .space import FiniteSpace, TooLarge, bits, minimal_opens, popcount
 INFINITE = math.inf
 
 MULTI_POINT_CAP = 12
+STATES_CAP = 1 << 20
 
 
 class GameVariant(Enum):
@@ -145,7 +146,15 @@ def _unions(sets) -> set[int]:
 
 
 def solve_game(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED) -> StrategyTable:
-    """Full minimax over every closed state reachable from the empty one."""
+    """Full minimax over every closed state reachable from the empty one.
+
+    A pick's closure is the closure of its whole minimal open, so those
+    states are unions of at most |minimal opens| closures.  Raises TooLarge
+    when the 2^|minimal opens| bound passes ``STATES_CAP``.
+    """
+    most = len(minimal_opens(space))
+    if 1 << most > STATES_CAP:
+        raise TooLarge(f"a full solve may visit 2^{most} states, over the cap of {STATES_CAP}")
     table = StrategyTable(space, variant)
     table(0)
     if INFINITE in table.value.values():
@@ -158,11 +167,7 @@ def solved_gd(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED)
 
     Only the integer is kept on the space; the table is dropped.
     """
-    slot = ("gd", variant)
-    got = space._cache.get(slot)
-    if got is None:
-        got = space._cache[slot] = solve_game(space, variant).gd
-    return got
+    return space.memo(("gd", variant), lambda: solve_game(space, variant).gd)
 
 
 def exact_force_set(space: FiniteSpace) -> frozenset[int]:
@@ -311,15 +316,6 @@ class Transcript:
             prev = step.closure_after
         if self.terminal != (prev == self.space.full):
             raise InvariantViolation("terminal flag disagrees with the final closure")
-
-    def records(self):
-        for i, step in enumerate(self.steps):
-            yield {
-                "stage": i,
-                "offered": sorted(self.space.label_set(step.offered)),
-                "picked": sorted(self.space.label_set(step.picks)),
-                "closure": sorted(self.space.label_set(step.closure_after)),
-            }
 
 
 def run_game(space: FiniteSpace, chooser_policy, picker, variant: GameVariant,

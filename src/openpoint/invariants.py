@@ -48,30 +48,28 @@ def pi_weight(space: FiniteSpace) -> int:
     return len(minimal_opens(space))
 
 
-def _is_pi_base(space: FiniteSpace, family) -> bool:
-    return all(
-        any(b and u & b == b for b in family)
-        for u in space.opens
-        if u
-    )
+def _is_pi_base(opens, family) -> bool:
+    """Whether every one of the non-empty ``opens`` contains a member of ``family``."""
+    return all(any(u & b == b for b in family) for u in opens)
 
 
 def pi_weight_brute(space: FiniteSpace) -> int:
     opens = [u for u in space.opens if u]
     for k in range(1, len(opens) + 1):
         for family in combinations(opens, k):
-            if _is_pi_base(space, family):
+            if _is_pi_base(opens, family):
                 return k
     raise AssertionError("the family of all non-empty opens is a pi-base")
 
 
 def weight(space: FiniteSpace) -> int:
     """Least size of a base = number of distinct minimal neighborhoods."""
-    return len(set(space.min_neighborhoods()))
+    return len(set(space.nbhds))
 
 
-def _is_base(space: FiniteSpace, family) -> bool:
-    for u in space.opens:
+def _is_base(opens, family) -> bool:
+    """Whether each of the ``opens`` is the union of the members inside it."""
+    for u in opens:
         cover = 0
         for b in family:
             if u & b == b:
@@ -85,7 +83,7 @@ def weight_brute(space: FiniteSpace) -> int:
     opens = [u for u in space.opens if u]
     for k in range(1, len(opens) + 1):
         for family in combinations(opens, k):
-            if _is_base(space, family):
+            if _is_base(opens, family):
                 return k
     raise AssertionError("the family of all non-empty opens is a base")
 
@@ -166,14 +164,11 @@ def invariant_report(space: FiniteSpace) -> InvariantReport:
     t = 1.  Closure is additive on a finite space, so x in cl(Y) puts x in
     cl{y} for some y in Y; ``tightness`` is this route's oracle.
     """
-    got = space._cache.get("invariant_report")
-    if got is None:
-        got = space._cache["invariant_report"] = InvariantReport(
-            d=density(space),
-            delta=delta(space),
-            gd=len(minimal_opens(space)),
-            pi=pi_weight(space),
-            w=weight(space),
-            t=1,
-        )
-    return got
+    return space.memo("invariant_report", lambda: InvariantReport(
+        d=density(space),
+        delta=delta(space),
+        gd=len(minimal_opens(space)),
+        pi=pi_weight(space),
+        w=weight(space),
+        t=1,
+    ))

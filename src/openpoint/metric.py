@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .game import solve_game
 from .invariants import delta, density, pi_weight, weight
-from .space import FiniteSpace, TopologyError, closure, is_str_list, space_from_masks
+from .space import (MAX_POINTS, FiniteSpace, TooLarge, TopologyError, closure, from_preorder,
+                    is_str_list)
 
 
 class InvalidMetric(TopologyError):
@@ -72,16 +73,14 @@ def zero_classes(m: PseudometricSpace) -> list[int]:
 
 
 def topology_from_pseudometric(m: PseudometricSpace, name: str | None = None) -> FiniteSpace:
-    """The partition topology whose opens are unions of zero-distance classes."""
-    classes = zero_classes(m)
-    opens = []
-    for code in range(1 << len(classes)):
-        mask = 0
-        for i, cls in enumerate(classes):
-            if code >> i & 1:
-                mask |= cls
-        opens.append(mask)
-    return space_from_masks(name or "pseudometric", m.labels, opens)
+    """The partition topology whose opens are unions of zero-distance classes.
+
+    N(x) is the class of x.  Metrics have at most ``MAX_POINTS`` points, as spaces read from files.
+    """
+    if m.n > MAX_POINTS:
+        raise TooLarge(f"{m.n} points exceeds the {MAX_POINTS}-point cap")
+    rows = [sum(1 << y for y, d in enumerate(row) if d == 0) for row in m.dist]
+    return from_preorder(rows, name or "pseudometric", m.labels)
 
 
 def _ball(m: PseudometricSpace, center: int, radius: Fraction) -> int:
@@ -118,7 +117,7 @@ def greedy_dense_sequence(m: PseudometricSpace, start: int = 0) -> GreedyRun:
     order = [start]
     radii: list[Fraction] = []
     while True:
-        covered = closure(space, _mask(order))
+        covered = space.closure_of(_mask(order))
         if covered == space.full:
             break
         complement = space.full ^ covered
@@ -209,9 +208,15 @@ def random_pseudometrics(count: int, max_points: int, seed: int):
 
 
 def _parse_distance(v) -> Fraction:
-    """A finite exact distance from a JSON number or a fraction string."""
+    """A finite exact distance from a JSON number or a fraction string.
+
+    ``Fraction`` builds 10**exponent exactly, so an exponent of more than
+    three digits is refused: it would stall the parse or the output.
+    """
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise InvalidMetric(f'field "dist" holds a bad distance {v!r}')
+    if isinstance(v, str) and len(v.lower().partition("e")[2].lstrip("+-").lstrip("0")) > 3:
+        raise InvalidMetric(f'field "dist" holds a distance with an over-long exponent {v!r}')
     try:
         # NaN and the infinities fail here, as does a zero denominator
         return Fraction(str(v) if isinstance(v, float) else v)

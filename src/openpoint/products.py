@@ -1,9 +1,9 @@
 """Product topologies and the fan-tightness condition on factor families.
 
-A product of finite spaces is materialized as a FiniteSpace whose points
-are mixed-radix tuples and whose opens are all up-sets of the product
-specialization preorder (equivalently: all unions of open boxes).  Its
-rows N((x, y)) = N(x) x N(y) go straight to ``from_preorder``.
+A product of finite spaces is a FiniteSpace whose points are mixed-radix
+tuples.  Its rows N((x, y)) = N(x) x N(y) go straight to ``from_preorder``;
+its opens, the unions of open boxes, are enumerated only if something
+reads them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from operator import or_
 from .invariants import pi_weight
 from .space import (
     FiniteSpace,
-    Preorder,
     TooLarge,
     bits,
     from_preorder,
@@ -89,7 +88,7 @@ def _product_succ(factors, sizes) -> tuple[int, ...]:
 
 
 def product(factors, name: str | None = None) -> ProductSpace:
-    """Materialize the product topology of 1..k finite spaces.
+    """Build the product topology of 1..k finite spaces from their rows.
 
     The first factor remembers its most recent product of each arity, so
     repeated calls on the same factors return the same (immutable) object.
@@ -119,8 +118,8 @@ def _build_product(factors, name):
         "(" + ",".join(f.point_labels[c] for f, c in zip(factors, coords)) + ")"
         for coords in iter_product(*map(range, sizes))
     ]
-    pre = Preorder(n=total, rows=_product_succ(factors, sizes))
-    space = from_preorder(pre, name or "x".join(f.name for f in factors), labels)
+    space = from_preorder(_product_succ(factors, sizes), name or "x".join(f.name for f in factors),
+                          labels)
     return ProductSpace(factors=factors, space=space, sizes=sizes)
 
 
@@ -131,10 +130,10 @@ def minimal_open_boxes(prod: ProductSpace) -> tuple[int, ...]:
 
 
 def minimal_opens_via_preorder(factors) -> tuple[int, ...]:
-    """Minimal opens of the product computed from the specialization preorder.
+    """Minimal opens of the product computed from its N(x) rows.
 
-    Works without materializing the (possibly huge) open-set lattice, so it
-    serves as the independent route for large products.
+    Builds no product space, so it serves as the independent route for
+    large products.
     """
     factors = tuple(factors)
     sizes = tuple(f.n for f in factors)

@@ -1,16 +1,17 @@
-"""Finite topological spaces as bitmask lattices.
+"""Finite topological spaces as the minimal neighbourhoods of their points.
 
 Points are indices 0..n-1; a set of points is one int whose bit i means
-"point i is in the set".  A space stores its complete family of open sets,
-sorted by bitmask value, which makes space equality a plain tuple
-comparison and keeps every set operation a single machine-word op.
+"point i is in the set", so every set operation is a single machine-word op.
 
-A space also stores the minimal neighbourhood N(x) of every point: the
-rows of its preorder, or what validation computed from its opens.  Point
-closures, ``is_open``, ``interior``, ``minimal_opens`` and the
-specialization preorder all derive from these rows (the Alexandrov
-correspondence); ``closure`` alone scans the open lattice, as the oracle
-the derived routes are checked against.
+A space stores the minimal neighbourhood N(x) of every point, and nothing
+else describes its topology: the opens are exactly the unions of the N(x)
+(Alexandroff, "Diskrete Räume", 1937).  Space equality compares the rows.
+Point closures, ``is_open``, ``interior`` and ``minimal_opens`` derive from
+them.  A product's rows grow with its points, its open lattice grows
+exponentially; so ``opens`` is the family validated by ``space_from_masks``
+or, for a space built from rows, the up-sets enumerated on first access
+under ``OPENS_CAP``.  ``closure`` scans that lattice, as the oracle the
+derived routes are checked against.
 """
 
 from __future__ import annotations
@@ -85,18 +86,17 @@ def popcount(mask: int) -> int:
 class FiniteSpace:
     """A checked finite topology.
 
-    ``opens`` is the full open-set family as a strictly increasing tuple of
-    bitmasks; it always contains 0 (empty set) and ``full`` (all points).
     ``nbhds[x]`` is N(x), the smallest open containing point x, computed
     by ``space_from_masks`` or given to ``from_preorder`` as checked rows.
     Instances are immutable and safe to share; two spaces compare equal
-    when they have the same point count and the same opens, labels aside.
+    when they have the same rows, names and labels aside, which is when
+    they have the same opens.  ``_cache`` holds what is derived from the
+    rows, the open lattice included.
     """
 
     name: str
     n: int
     point_labels: tuple[str, ...]
-    opens: tuple[int, ...]
     nbhds: tuple[int, ...]
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -104,16 +104,31 @@ class FiniteSpace:
     def full(self) -> int:
         return (1 << self.n) - 1
 
+    @property
+    def opens(self) -> tuple[int, ...]:
+        """Every open set, increasing; enumerated from the rows on first use if not stored."""
+        got = self._cache.get("opens")
+        if got is None:
+            got = self._cache["opens"] = tuple(enumerate_upsets(self.n, self.nbhds, cap=OPENS_CAP))
+        return got
+
+    def memo(self, key, compute):
+        """``compute()``, called once per space and key; the value is kept on the space."""
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = compute()
+        return got
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteSpace):
             return NotImplemented
-        return self.n == other.n and self.opens == other.opens
+        return self.n == other.n and self.nbhds == other.nbhds
 
     def __hash__(self) -> int:
-        return hash((self.n, self.opens))
+        return hash((self.n, self.nbhds))
 
     def __repr__(self) -> str:
-        return f"FiniteSpace({self.name!r}, n={self.n}, opens={len(self.opens)})"
+        return f"FiniteSpace({self.name!r}, n={self.n}, distinct_nbhds={len(set(self.nbhds))})"
 
     def label_set(self, mask: int) -> list[str]:
         return [self.point_labels[i] for i in bits(mask)]
@@ -143,10 +158,6 @@ class FiniteSpace:
                     out[x] |= 1 << y
             got = self._cache["point_closures"] = tuple(out)
         return got
-
-    def min_neighborhoods(self) -> tuple[int, ...]:
-        """Smallest open set containing x, for every point x."""
-        return self.nbhds
 
     def closure_of(self, mask: int) -> int:
         """Additive closure via cached point closures (hot-path variant)."""
@@ -213,7 +224,8 @@ def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int
         for nbhd in distinct:
             if u | nbhd not in members:
                 raise NotClosedUnderUnion(sorted(bits(u)), sorted(bits(nbhd)))
-    return FiniteSpace(name=name, n=n, point_labels=labels, opens=tuple(family), nbhds=nbhds)
+    return FiniteSpace(name=name, n=n, point_labels=labels, nbhds=nbhds,
+                       _cache={"opens": tuple(family)})
 
 
 def validate_topology(point_labels, raw_opens, name: str = "space") -> FiniteSpace:
@@ -299,22 +311,6 @@ def subspace(space: FiniteSpace, subset: int, name: str | None = None) -> Finite
     return space_from_masks(name or f"{space.name}|sub", labels, traced)
 
 
-@dataclass(frozen=True)
-class Preorder:
-    """Specialization preorder: leq[x][y] holds iff x is in closure({y})."""
-
-    n: int
-    rows: tuple[int, ...]  # rows[x] = bitmask {y : leq[x][y]}
-
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
-
-
-def to_preorder(space: FiniteSpace) -> Preorder:
-    # x in closure({y})  <=>  y in N(x), so the rows are the N(x)
-    return Preorder(n=space.n, rows=space.nbhds)
-
-
 def enumerate_upsets(n: int, succ, cap: int | None = None) -> list[int]:
     """All sets U with x in U implying succ[x] a subset of U, sorted.
 
@@ -356,19 +352,20 @@ def enumerate_upsets(n: int, succ, cap: int | None = None) -> list[int]:
     return sorted(out)
 
 
-def from_preorder(pre: Preorder, name: str = "space", point_labels=None) -> FiniteSpace:
-    """The space of the up-sets of ``pre``, whose checked rows become its N(x).
+def from_preorder(rows, name: str = "space", point_labels=None) -> FiniteSpace:
+    """The space on n = len(rows) points whose N(x) are the checked ``rows``.
 
-    Rows inside the n points, reflexive and transitive, and n distinct
-    string labels make the up-sets a topology with those N(x), so they are
-    not validated again.  Raises TooLarge past ``OPENS_CAP`` up-sets.
+    ``rows[x]`` holds the points y with x in closure({y}): the rows of the
+    specialization preorder.  Rows inside the n points, reflexive and
+    transitive, and n distinct string labels make the up-sets a topology
+    with those N(x), so nothing is validated again and nothing is
+    enumerated: the open lattice waits for its first reader.
     """
-    n, rows = pre.n, tuple(pre.rows)
+    rows = tuple(rows)
+    n = len(rows)
     labels = tuple(point_labels) if point_labels else tuple(f"p{i}" for i in range(n))
     if n < 1:
         raise TopologyError("a space needs at least one point")
-    if len(rows) != n:
-        raise TopologyError(f"a preorder on {n} points needs {n} rows, got {len(rows)}")
     if len(labels) != n or not all(isinstance(lab, str) for lab in labels):
         raise TopologyError(f"a space on {n} points needs {n} string labels")
     if len(set(labels)) != n:
@@ -382,8 +379,7 @@ def from_preorder(pre: Preorder, name: str = "space", point_labels=None) -> Fini
         for y in bits(row):
             if rows[y] & ~row:
                 raise NotTransitive(f"transitivity fails through points {x} <= {y}")
-    opens = enumerate_upsets(n, rows, cap=OPENS_CAP)
-    return FiniteSpace(name=name, n=n, point_labels=labels, opens=tuple(opens), nbhds=rows)
+    return FiniteSpace(name=name, n=n, point_labels=labels, nbhds=rows)
 
 
 def is_t0(space: FiniteSpace) -> bool:

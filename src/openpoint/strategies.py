@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .game import GameVariant, InvariantViolation, as_chooser, evaluate_chooser, value_function
 from .products import ProductSpace, product
-from .space import FiniteSpace, TopologyError, is_dense, minimal_opens
+from .space import FiniteSpace, TopologyError, minimal_opens
 
 
 class NotDense(TopologyError):
@@ -37,10 +37,11 @@ class OrderedPiBase:
         for m in self.members:
             if not m or not self.space.is_open(m):
                 raise ValueError(f"base member {m:b} is empty or not open")
-        for u in self.space.opens:
-            if u and not any(u & m == m for m in self.members):
+        # every non-empty open is a union of N(x), so checking the N(x) is enough
+        for nbhd in self.space.nbhds:
+            if not any(nbhd & m == m for m in self.members):
                 raise ValueError(
-                    f"open {sorted(self.space.label_set(u))} contains no base member"
+                    f"open {sorted(self.space.label_set(nbhd))} contains no base member"
                 )
 
     def __len__(self) -> int:
@@ -72,7 +73,7 @@ def pi_base_chooser(space: FiniteSpace, base: OrderedPiBase | None = None):
 
 def dense_point_picker(space: FiniteSpace, dense_set: int):
     """Pick the least-index offered point inside a fixed dense set."""
-    if not is_dense(space, dense_set):
+    if space.closure_of(dense_set) != space.full:
         raise NotDense(
             f"{sorted(space.label_set(dense_set))} is not dense in {space.name}"
         )
@@ -377,9 +378,5 @@ def aggregate_worst(prod: ProductSpace,
     ``evaluate_chooser`` of ``aggregate_chooser(prod.factors)``; only the
     integer is kept on the product space, as ``solved_gd`` does.
     """
-    slot = ("aggregate_worst", variant)
-    got = prod.space._cache.get(slot)
-    if got is None:
-        agg = aggregate_chooser(prod.factors, prod=prod)
-        got = prod.space._cache[slot] = evaluate_chooser(prod.space, agg, variant)
-    return got
+    return prod.space.memo(("aggregate_worst", variant), lambda: evaluate_chooser(
+        prod.space, aggregate_chooser(prod.factors, prod=prod), variant))

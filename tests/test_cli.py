@@ -79,6 +79,18 @@ class TestValidate:
         code, out, err = invoke(["validate", str(bad)])
         assert code == 1 and not out and f'field "{field}"' in err
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"\xff\xfe{}", "can't decode byte 0xff"),
+        (b'{"name": ' + b"1" * 5000 + b"}", "integer string conversion"),
+        (b"[" * 100_000, "maximum recursion depth"),
+    ], ids=["not-utf8", "long-integer", "deep-nesting"])
+    def test_unreadable_json_is_usage_error(self, tmp_path, blob, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(blob)
+        code, out, err = invoke(["validate", str(bad)])
+        assert code == 1 and not out
+        assert err.startswith(f"error: {bad} is not valid JSON: ") and message in err
+
     def test_top_level_that_is_not_an_object_fails(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1]")
@@ -178,6 +190,48 @@ class TestPlay:
         ])
         assert code == 0, err
         assert ndjson_lines(out)[0]["picked"] == ["((b,b),b)"]
+
+    @pytest.mark.parametrize("chooser, picker", [
+        ("product", "random"), ("aggregate", "stall"), ("pi-base", "first"),
+    ])
+    def test_discrete_4_times_5_plays_without_its_lattice(self, tmp_path, chooser, picker):
+        # 2^20 opens, past the cap: only the solver or a lattice reader would fail
+        paths = []
+        for n in (4, 5):
+            path = tmp_path / f"d{n}.json"
+            path.write_text(json.dumps(space_to_json(make_discrete(n))))
+            paths.append(str(path))
+        code, out, err = invoke(["play", *paths, "--pI", chooser, "--pII", picker])
+        assert code == 0, err
+        assert ndjson_lines(out)[-1] == {"length": 20, "gd": 20, "matched_gd": True}
+
+    @pytest.mark.parametrize("chooser, picker", [
+        ("pi-base", "random"), ("product", "stall"), ("aggregate", "first"),
+        ("pi-base", "dense"), ("product", "interactive"),
+    ])
+    def test_non_optimal_players_never_call_the_solver(self, monkeypatch, sierpinski_file,
+                                                       discrete2_file, chooser, picker):
+        from openpoint.game import StrategyTable
+
+        def boom(self, closed):
+            raise AssertionError("the game solver ran")
+
+        monkeypatch.setattr(StrategyTable, "__call__", boom)
+        code, out, err = invoke(["play", discrete2_file, sierpinski_file,
+                                 "--pI", chooser, "--pII", picker],
+                                stdin_text="(p0,b)\n(p1,b)\n")
+        assert code == 0, err
+        assert ndjson_lines(out)[-1] == {"length": 2, "gd": 2, "matched_gd": True}
+
+    def test_optimal_play_past_the_state_cap_is_refused(self, tmp_path):
+        # D3 x D7 has 21 minimal opens: a full solve may meet 2^21 closed states
+        paths = []
+        for n in (3, 7):
+            path = tmp_path / f"d{n}.json"
+            path.write_text(json.dumps(space_to_json(make_discrete(n))))
+            paths.append(str(path))
+        code, out, err = invoke(["play", *paths, "--pI", "pi-base", "--pII", "optimal"])
+        assert code == 1 and not out and "2^21 states" in err
 
     def test_ledger_without_aggregate_rejected(self, sierpinski_file):
         code, _, err = invoke(["play", sierpinski_file, "--ledger", "x.ndjson"])
@@ -372,6 +426,14 @@ class TestGreedy:
         code, _, err = invoke(["greedy", str(path), "--start", "z"])
         assert code == 1
 
+    def test_metric_past_the_point_cap_fails(self, tmp_path):
+        path = tmp_path / "m.json"
+        labels = [f"q{i}" for i in range(17)]
+        path.write_text(json.dumps({"points": labels,
+                                    "dist": [[abs(i - j) for j in range(17)] for i in range(17)]}))
+        code, out, err = invoke(["greedy", str(path)])
+        assert code == 1 and not out and "17 points exceeds the 16-point cap" in err
+
     @pytest.mark.parametrize("message, obj", [
         ('field "dist"', {"points": ["a", "b"], "dist": 5}),
         ('field "dist"', {"points": ["a", "b"], "dist": [5]}),
@@ -381,8 +443,10 @@ class TestGreedy:
         ('field "dist"', {"points": ["a", "b"], "dist": [[0, float("nan")], [float("nan"), 0]]}),
         ('field "dist"', {"points": ["a", "b"], "dist": [[0, float("inf")], [float("inf"), 0]]}),
         ('field "dist"', {"points": ["a", "b"], "dist": [["0", "1/0"], ["1/0", "0"]]}),
+        ("over-long exponent", {"points": ["a", "b"], "dist": [["0", "1e5000"], ["1e5000", "0"]]}),
     ], ids=["dist-integer", "dist-row-integer", "list-top-level", "points-string",
-            "points-empty", "dist-nan", "dist-infinity", "dist-zero-denominator"])
+            "points-empty", "dist-nan", "dist-infinity", "dist-zero-denominator",
+            "dist-huge-exponent"])
     def test_malformed_metric_fails(self, tmp_path, message, obj):
         # an exception escaping run() would fail the test before the assert
         path = tmp_path / "m.json"

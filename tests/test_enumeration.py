@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from openpoint import enumeration
 from openpoint.enumeration import (
+    _check_exact_force,
     _check_oracles,
     canonical_form,
     enumerate_labeled,
@@ -115,6 +116,12 @@ class TestSuite:
         space = make_two_sierpinski()
         honest = real(space)
         assert _check_oracles(space) == {key: (honest, honest + 1)}
+
+    def test_exact_force_needs_gd_to_be_forcible(self, monkeypatch):
+        space = make_two_sierpinski()
+        assert _check_exact_force(space) is None
+        monkeypatch.setattr(enumeration, "exact_force_set", lambda space: frozenset())
+        assert _check_exact_force(space) == {"forced": [], "gd": 2, "delta": 2, "d": 2}
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):

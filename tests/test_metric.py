@@ -17,7 +17,7 @@ from openpoint.metric import (
     topology_from_pseudometric,
     zero_classes,
 )
-from openpoint.space import closure
+from openpoint.space import TooLarge, closure, space_from_masks
 
 from .conftest import make_discrete, make_indiscrete
 
@@ -58,6 +58,25 @@ class TestInducedTopology:
     def test_all_positive_gives_discrete(self):
         m = line_metric([0, 1, 3])
         assert topology_from_pseudometric(m) == make_discrete(3)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_the_validated_unions_of_classes(self, seed):
+        # the union-of-classes family the topology is no longer built from
+        for m in random_pseudometrics(count=4, max_points=8, seed=seed):
+            classes = zero_classes(m)
+            unions = [
+                sum(cls for i, cls in enumerate(classes) if code >> i & 1)
+                for code in range(1 << len(classes))
+            ]
+            want = space_from_masks("unions", m.labels, unions)
+            got = topology_from_pseudometric(m)
+            assert got.nbhds == want.nbhds and got.opens == want.opens
+
+    def test_more_points_than_a_space_file_is_refused(self):
+        m = line_metric(range(17))
+        with pytest.raises(TooLarge, match="17 points"):
+            topology_from_pseudometric(m)
 
     def test_all_zero_gives_indiscrete(self):
         m = pseudometric(["a", "b"], [[0, 0], [0, 0]])
@@ -121,6 +140,13 @@ class TestJson:
     def test_roundtrip(self):
         m = line_metric([0, Fraction(1, 3), 2])
         assert metric_from_json(metric_to_json(m)) == m
+
+    def test_exponents_up_to_three_digits(self):
+        obj = {"points": ["a", "b"], "dist": [["0", "2E-007"], ["2e-0007", 0]]}
+        assert metric_from_json(obj).dist[0][1] == Fraction(2, 10**7)
+        obj["dist"] = [["0", "1e1000"], ["1e1000", 0]]
+        with pytest.raises(InvalidMetric, match="exponent"):
+            metric_from_json(obj)
 
     def test_bad_string_rejected(self):
         with pytest.raises(InvalidMetric):

@@ -62,7 +62,7 @@ class TestProduct:
     def test_too_many_opens(self):
         factors = [make_discrete(5)] * 4  # 625 points, 2^625 up-sets
         with pytest.raises(TooLarge):
-            product(factors)
+            product(factors).space.opens
 
     def test_projection_masks(self):
         s = make_sierpinski()

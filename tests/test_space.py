@@ -11,7 +11,6 @@ from openpoint.space import (
     NotClosedUnderUnion,
     NotReflexive,
     NotTransitive,
-    Preorder,
     TooLarge,
     TopologyError,
     UnknownLabel,
@@ -26,7 +25,6 @@ from openpoint.space import (
     space_from_masks,
     space_to_json,
     subspace,
-    to_preorder,
     validate_topology,
 )
 
@@ -157,7 +155,7 @@ class TestStoredNeighbourhoods:
             for u in space.opens:
                 if u >> x & 1:
                     meet &= u
-            assert space.min_neighborhoods()[x] == meet
+            assert space.nbhds[x] == meet
 
     @given(spaces())
     def test_is_open_matches_the_open_family(self, space):
@@ -172,7 +170,10 @@ class TestStoredNeighbourhoods:
 
     @given(spaces())
     def test_preorder_rows_are_the_neighbourhoods(self, space):
-        assert to_preorder(space).rows == space.min_neighborhoods()
+        # the specialization preorder: y in N(x) exactly when x in closure({y})
+        for x in range(space.n):
+            for y in range(space.n):
+                assert (space.nbhds[x] >> y & 1) == (closure(space, 1 << y) >> x & 1)
 
 
 class TestSubspace:
@@ -239,37 +240,36 @@ class TestDensity:
 
 class TestPreorder:
     def test_sierpinski_specialization(self, sierpinski):
-        pre = to_preorder(sierpinski)
-        assert pre.leq(0, 1)  # a in cl({b})
-        assert not pre.leq(1, 0)
-        assert pre.leq(0, 0) and pre.leq(1, 1)
-        assert from_preorder(pre, point_labels=sierpinski.point_labels) == sierpinski
+        rows = sierpinski.nbhds
+        assert rows[0] >> 1 & 1  # a in cl({b})
+        assert not rows[1] >> 0 & 1
+        assert rows[0] & 1 and rows[1] >> 1 & 1
+        back = from_preorder(rows, point_labels=sierpinski.point_labels)
+        assert back == sierpinski and back.opens == sierpinski.opens
 
     def test_discrete_is_identity(self):
         d = make_discrete(3)
-        pre = to_preorder(d)
-        assert pre.rows == (0b001, 0b010, 0b100)
-        assert from_preorder(pre) == d
+        assert d.nbhds == (0b001, 0b010, 0b100)
+        assert from_preorder(d.nbhds).opens == d.opens
 
     def test_indiscrete_all_related(self):
         s = make_indiscrete(2)
-        pre = to_preorder(s)
-        assert pre.rows == (0b11, 0b11)
-        assert from_preorder(pre) == s
+        assert s.nbhds == (0b11, 0b11)
+        assert from_preorder(s.nbhds).opens == s.opens
 
     def test_rejects_non_reflexive(self):
         with pytest.raises(NotReflexive):
-            from_preorder(Preorder(n=2, rows=(0b10, 0b10)))
+            from_preorder((0b10, 0b10))
 
     def test_rejects_non_transitive(self):
         with pytest.raises(NotTransitive):
-            from_preorder(Preorder(n=3, rows=(0b011, 0b110, 0b100)))
+            from_preorder((0b011, 0b110, 0b100))
 
-    @pytest.mark.parametrize("rows", [(0b101, 0b010), (0b01, -1), (0b01, 0b10, 0b100)],
-                             ids=["bit-past-n", "negative", "too-many-rows"])
+    @pytest.mark.parametrize("rows", [(0b101, 0b010), (0b01, -1)],
+                             ids=["bit-past-n", "negative"])
     def test_rejects_rows_outside_the_points(self, rows):
         with pytest.raises(TopologyError):
-            from_preorder(Preorder(n=2, rows=rows))
+            from_preorder(rows)
 
     @pytest.mark.parametrize("labels, error", [
         (["a"], TopologyError), (["a", "b", "c"], TopologyError),
@@ -277,13 +277,59 @@ class TestPreorder:
     ], ids=["too-few", "too-many", "not-a-string", "duplicate"])
     def test_rejects_labels_that_are_not_n_distinct_strings(self, labels, error):
         with pytest.raises(error):
-            from_preorder(Preorder(n=2, rows=(0b01, 0b10)), point_labels=labels)
+            from_preorder((0b01, 0b10), point_labels=labels)
+
+    def test_builds_no_lattice(self, monkeypatch):
+        import openpoint.space as space_module
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the lattice was enumerated")
+
+        monkeypatch.setattr(space_module, "enumerate_upsets", boom)
+        space = from_preorder((0b01, 0b11))
+        assert space.nbhds == (0b01, 0b11) and minimal_opens(space) == (0b01,)
+        with pytest.raises(AssertionError, match="enumerated"):
+            space.opens
 
     @given(spaces())
     def test_roundtrip_identity(self, space):
         # ``space`` was validated by space_from_masks, so this is also the
-        # oracle for the validation from_preorder leaves out
-        assert from_preorder(to_preorder(space)) == space
+        # oracle for the validation from_preorder leaves out; equal rows would
+        # make the spaces equal by definition, so the lattices are compared
+        back = from_preorder(space.nbhds)
+        assert back.opens == space.opens
+        assert back == space and hash(back) == hash(space)
+
+
+@st.composite
+def space_pairs(draw, max_points=3):
+    """Two random spaces on the same number of points."""
+    a = draw(spaces(max_points=max_points))
+    b = draw(spaces(max_points=a.n).filter(lambda s: s.n == a.n))
+    return a, b
+
+
+class TestRowEquality:
+    """Spaces compare and hash by their rows, which decide their opens."""
+
+    @given(space_pairs())
+    def test_equal_exactly_when_the_opens_are(self, pair):
+        a, b = pair
+        assert (a == b) == (a.opens == b.opens)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(space_pairs())
+    def test_rows_built_and_validated_spaces_agree(self, pair):
+        a, b = pair
+        rebuilt = from_preorder(b.nbhds)
+        assert (a == rebuilt) == (a.opens == rebuilt.opens)
+        assert rebuilt == b and hash(rebuilt) == hash(b)
+
+    def test_repr_reads_no_lattice(self):
+        space = from_preorder((0b01, 0b11, 0b100), name="s")
+        assert repr(space) == "FiniteSpace('s', n=3, distinct_nbhds=3)"
+        assert "opens" not in space._cache
 
 
 class TestSeparationFlags:
@@ -338,7 +384,7 @@ class TestCorpusProperties:
     def test_preorder_roundtrip_whole_corpus(self, labeled_corpus):
         for spaces in labeled_corpus.values():
             for space in spaces:
-                assert from_preorder(to_preorder(space)) == space
+                assert from_preorder(space.nbhds).opens == space.opens
 
     def test_dense_iff_hits_every_minimal_open(self, labeled_corpus):
         for spaces in labeled_corpus.values():

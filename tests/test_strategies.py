@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from openpoint.game import (
     GameVariant,
+    first_point_picker,
+    random_picker,
     InvariantViolation,
     StrategyTable,
     evaluate_chooser,
@@ -13,9 +15,9 @@ from openpoint.game import (
     solve_game,
     stalling_picker,
 )
-from openpoint.invariants import density, pi_weight
+from openpoint.invariants import density, invariant_report, pi_weight
 from openpoint.products import product
-from openpoint.space import bits, is_dense, subspace
+from openpoint.space import TooLarge, bits, is_dense, minimal_opens, subspace
 from openpoint.strategies import (
     LedgerEntry,
     LedgerOrderViolation,
@@ -48,6 +50,20 @@ class TestOrderedPiBase:
     def test_minimal_base_is_valid(self, two_sierpinski):
         base = minimal_pi_base(two_sierpinski)
         assert base.members == (0b0010, 0b1000)
+
+    @given(spaces(max_points=4), st.data())
+    @settings(max_examples=80)
+    def test_accepts_exactly_what_the_all_opens_scan_accepts(self, space, data):
+        # the scan over every non-empty open the check no longer runs
+        nonempty = [u for u in space.opens if u]
+        members = tuple(data.draw(st.lists(st.sampled_from(nonempty), min_size=1, max_size=4)))
+        covered = all(any(u & m == m for m in members) for u in nonempty)
+        try:
+            OrderedPiBase(space, members)
+        except ValueError:
+            assert not covered
+        else:
+            assert covered
 
 
 class TestPiBaseChooser:
@@ -309,3 +325,43 @@ class TestAggregateChooser:
         assert aggregate_worst(prod, variant) == want
         assert aggregate_worst(prod, variant) == want
         assert len(calls) == 1
+
+
+class TestLargeProductWithoutLattice:
+    """D4 x D5 has 2^20 opens, past the cap; nothing below reads them."""
+
+    @pytest.fixture
+    def d4xd5(self, monkeypatch):
+        import openpoint.space as space_module
+
+        x, y = make_discrete(4, name="D4"), make_discrete(5, name="D5")
+        prod = product([x, y])
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the lattice was enumerated")
+
+        monkeypatch.setattr(space_module, "enumerate_upsets", boom)
+        return x, y, prod
+
+    def test_builds_and_reports_from_the_rows(self, d4xd5):
+        x, y, prod = d4xd5
+        assert repr(prod.space) == "FiniteSpace('D4xD5', n=20, distinct_nbhds=20)"
+        assert minimal_opens(prod.space) == tuple(1 << i for i in range(20))
+        assert invariant_report(prod.space).gd == 20
+
+    @pytest.mark.parametrize("strategy", ["product", "aggregate", "pi-base"])
+    @pytest.mark.parametrize("picker", [random_picker, first_point_picker], ids=["random", "first"])
+    def test_plays_need_no_lattice(self, d4xd5, strategy, picker):
+        x, y, prod = d4xd5
+        chooser = {
+            "product": lambda: product_chooser(x, y, prod=prod),
+            "aggregate": lambda: aggregate_chooser([x, y], prod=prod),
+            "pi-base": lambda: pi_base_chooser(prod.space),
+        }[strategy]()
+        transcript = play_transcript(prod.space, chooser, picker)
+        assert transcript.terminal and transcript.length == 20
+
+    def test_reading_the_opens_hits_the_cap(self):
+        prod = product([make_discrete(4), make_discrete(5)])
+        with pytest.raises(TooLarge, match="131072 up-sets"):
+            prod.space.opens
