@@ -211,7 +211,7 @@ def exact_force_set(space: FiniteSpace) -> frozenset[int]:
 # A chooser is any object with:
 #     initial_state() -> state            (hashable)
 #     choose(closed, state) -> open mask
-#     observe(state, closed, move, picks) -> state
+#     observe(state, picks) -> state     (picks answer choose's offer at state)
 # Plain callables f(closed, stage) are adapted automatically.
 #
 # A picker is a callable picker(closed, offered, stage, rng) -> pick mask.
@@ -229,7 +229,7 @@ class FunctionChooser:
     def choose(self, closed, state):
         return self.fn(closed, state)
 
-    def observe(self, state, closed, move, picks):
+    def observe(self, state, picks):
         return state + 1
 
 
@@ -284,7 +284,7 @@ def evaluate_chooser(space: FiniteSpace, policy, variant: GameVariant = GameVari
             if nxt == closed:
                 val = INFINITE
                 break
-            val = max(val, worst(nxt, chooser.observe(state, closed, move, picks)))
+            val = max(val, worst(nxt, chooser.observe(state, picks)))
         memo[key] = val + 1
         return val + 1
 
@@ -337,7 +337,7 @@ def run_game(space: FiniteSpace, chooser_policy, picker, variant: GameVariant,
         nxt = closed | space.closure_of(picks)
         if nxt == closed:
             raise InvariantViolation("play stalled: the closure stopped growing")
-        state = chooser.observe(state, closed, move, picks)
+        state = chooser.observe(state, picks)
         step = Step(offered=move, picks=picks, closure_after=nxt)
         steps.append(step)
         if on_step is not None:

@@ -15,7 +15,6 @@ from itertools import combinations, islice, product as iter_product
 from math import prod as size_product
 from operator import or_
 
-from .invariants import pi_weight
 from .space import (
     FiniteSpace,
     TooLarge,
@@ -27,8 +26,9 @@ from .space import (
 
 POINTS_CAP = 4096
 # Cells of subproducts with more than 12 points (2^pts over this) stay
-# unknown.  The search no longer loops over pick-sets, so the cap bounds no
-# loop; it only decides which cells are left undecided.
+# unknown.  The cap bounds the cells that fan-check searches and prints:
+# each of them is a non-empty open, so lifting it lets a 16-point product
+# decide and print hundreds of cells where it now prints 16.
 SUBSET_LOOP_CAP = 1 << 12
 FAMILY_TRY_CAP = 64
 
@@ -140,18 +140,7 @@ def minimal_opens_via_preorder(factors) -> tuple[int, ...]:
     return inclusion_minimal(_product_succ(factors, sizes))
 
 
-@dataclass(frozen=True)
-class SufficientConditionResult:
-    holds: bool
-    kappa: int
-    designated: tuple[int, ...]
-    sigma_ok: bool
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def sufficient_condition_check(factors, kappa: int) -> SufficientConditionResult:
+def sufficient_condition_check(factors, kappa: int) -> bool:
     """Cheap criterion implying the fan-tightness condition.
 
     Factors of pi-weight above kappa must shrink below it inside every open
@@ -162,12 +151,7 @@ def sufficient_condition_check(factors, kappa: int) -> SufficientConditionResult
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
-    factors = tuple(factors)
-    sigma_ok = len(factors) <= kappa
-    designated = tuple(i for i, f in enumerate(factors) if pi_weight(f) > kappa)
-    return SufficientConditionResult(
-        holds=sigma_ok, kappa=kappa, designated=designated, sigma_ok=sigma_ok
-    )
+    return len(tuple(factors)) <= kappa
 
 
 class FanStatus(Enum):

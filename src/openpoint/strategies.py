@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .game import GameVariant, InvariantViolation, as_chooser, evaluate_chooser, value_function
+from .game import GameVariant, InvariantViolation, evaluate_chooser, value_function
 from .products import ProductSpace, product
 from .space import FiniteSpace, TopologyError, minimal_opens
 
@@ -91,8 +91,7 @@ def table_chooser(table):
     """Play the solver's best move, solving each closed state on demand.
 
     The table answers at every closed state, not just those reachable from
-    the empty one: sub-games inside product strategies reach states that
-    plain optimal play never visits.  Worst case equals gd of the space.
+    the empty one.  Worst case equals gd of the space.
     """
 
     def choose(closed, stage):
@@ -108,72 +107,65 @@ def optimal_chooser(space: FiniteSpace, variant: GameVariant = GameVariant.RESTR
 
 
 # ---------------------------------------------------------------------------
-# Two-factor product strategy: pi-base on X times a strategy on Y
+# Two-factor product strategy: the pi-base of X times the pi-base of Y
 # ---------------------------------------------------------------------------
 
 
 class ProductChooser:
-    """Run len(base) parallel Y-games, one per base member of X.
+    """Run parallel Y-games, one per member of the minimal pi-base of X.
 
-    Sub-game i offers base[i] x V with V from the Y-strategy fed by the
-    Y-projections of the points picked inside sub-game i; a sub-game is
-    finished once those projections are dense in Y.  The cursor round-robins
-    over unfinished sub-games.  Every pi-base holds every minimal open M of
-    X, and a finished sub-game on M has a pick in every M x N (N minimal in
-    Y), so once every sub-game is finished the picks are dense and the game
-    is over: an idle state is an ``InvariantViolation`` in every variant.
+    Sub-game i offers base[i] x V with V the minimal pi-base move of Y at
+    the closure of the Y-projections of the points picked inside sub-game
+    i; a sub-game is finished once those projections are dense in Y.  The
+    cursor round-robins over unfinished sub-games.  Every pi-base holds
+    every minimal open M of X, and a finished sub-game on M has a pick in
+    every M x N (N minimal in Y), so once every sub-game is finished the
+    picks are dense and the game is over: an idle state is an
+    ``InvariantViolation`` in every variant.
     """
 
-    def __init__(self, prod: ProductSpace, base: OrderedPiBase, sub_y):
+    def __init__(self, prod: ProductSpace):
         if len(prod.factors) != 2:
             raise ValueError("product strategy wants exactly two factors")
         self.prod = prod
-        self.base = base
-        self.sub = as_chooser(sub_y)
+        self.base = minimal_pi_base(prod.factors[0])
         self.y_space = prod.factors[1]
+        self.sub_move = pi_base_chooser(self.y_space)
 
     def initial_state(self):
-        subgames = tuple((0, self.sub.initial_state()) for _ in self.base.members)
-        return (0, subgames)
+        return (0, (0,) * len(self.base))
 
     def _current(self, state):
-        cursor, subgames = state
-        for step in range(len(subgames)):
-            idx = (cursor + step) % len(subgames)
-            if subgames[idx][0] != self.y_space.full:
+        cursor, y_closeds = state
+        for step in range(len(y_closeds)):
+            idx = (cursor + step) % len(y_closeds)
+            if y_closeds[idx] != self.y_space.full:
                 return idx
         raise InvariantViolation("all sub-games finished before the game ended")
 
     def choose(self, closed, state):
         idx = self._current(state)
-        y_closed, sub_state = state[1][idx]
-        v = self.sub.choose(y_closed, sub_state)
+        v = self.sub_move(state[1][idx], 0)  # the pi-base move ignores the stage
         return self.prod.box_mask([self.base.members[idx], v])
 
-    def observe(self, state, closed, move, picks):
+    def observe(self, state, picks):
         idx = self._current(state)
-        subgames = state[1]
-        y_closed, sub_state = subgames[idx]
-        v = self.prod.proj_mask(move, 1)
-        y_picks = self.prod.proj_mask(picks, 1)
-        grown = y_closed | self.y_space.closure_of(y_picks)
-        sub_state = self.sub.observe(sub_state, y_closed, v, y_picks)
-        subgames = subgames[:idx] + ((grown, sub_state),) + subgames[idx + 1:]
-        return ((idx + 1) % len(subgames), subgames)
+        y_closeds = state[1]
+        grown = y_closeds[idx] | self.y_space.closure_of(self.prod.proj_mask(picks, 1))
+        y_closeds = y_closeds[:idx] + (grown,) + y_closeds[idx + 1:]
+        return ((idx + 1) % len(y_closeds), y_closeds)
 
 
-def product_chooser(x: FiniteSpace, y: FiniteSpace, base_x: OrderedPiBase | None = None,
-                    sub_y=None, prod: ProductSpace | None = None) -> ProductChooser:
-    """The product strategy; the Y-strategy defaults to the minimal pi-base.
+def product_chooser(x: FiniteSpace, y: FiniteSpace,
+                    prod: ProductSpace | None = None) -> ProductChooser:
+    """The product strategy: the minimal pi-base of X times that of Y.
 
     At every closed state the least minimal open avoiding it is the
     solver's best move in every variant (each stage covers exactly one
-    minimal open), so the default plays optimally without a game table.
+    minimal open), so the strategy plays optimally in each Y-game without
+    a game table.
     """
-    prod = prod or product([x, y])
-    base_x = base_x or minimal_pi_base(x)
-    sub_y = sub_y if sub_y is not None else pi_base_chooser(y)
-    return ProductChooser(prod, base_x, sub_y)
+    return ProductChooser(prod or product([x, y]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +207,11 @@ class PhaseLedger:
 class AggState(NamedTuple):
     picks: int
     phase: int
-    substates: tuple
     ledger: tuple
 
 
 class Plan(NamedTuple):
     phase: int
-    gamma: tuple
-    active: tuple
-    closeds: dict
-    parts: tuple
     move: int
     beta: int
     eta: int
@@ -234,8 +221,9 @@ class AggregateChooser:
     """Phase-decomposed strategy on a finite product of spaces.
 
     Phase alpha targets density of the picks projected to the alpha-th
-    index set.  While some targeted coordinate is not yet dense, the
-    per-coordinate strategies step jointly on an open box (beta phase;
+    non-empty index set, in the order of their bitmasks.  While some
+    targeted coordinate is not yet dense, the per-coordinate minimal
+    pi-base moves step jointly on an open box (beta phase;
     finished coordinates are skipped and get minimal-open filler parts, the
     finite form of relabeling away void innings).  Once every targeted
     coordinate is dense but the projection still is not, the strategy walks
@@ -251,22 +239,16 @@ class AggregateChooser:
     elsewhere); no subproduct is built.
     """
 
-    def __init__(self, spaces, sub_strategies, gamma_enum=None,
-                 prod: ProductSpace | None = None):
+    def __init__(self, spaces, prod: ProductSpace | None = None):
         self.spaces = tuple(spaces)
         k = len(self.spaces)
         if k < 1:
             raise ValueError("need at least one space")
-        if len(sub_strategies) != k:
-            raise ValueError("one sub-strategy per space")
-        self.subs = [as_chooser(s) for s in sub_strategies]
+        self.subs = [pi_base_chooser(s) for s in self.spaces]
         self.prod = prod or product(self.spaces)
-        all_gammas = [
+        self.gammas = [
             tuple(i for i in range(k) if g >> i & 1) for g in range(1, 1 << k)
         ]
-        self.gammas = list(gamma_enum) if gamma_enum is not None else all_gammas
-        if sorted(set(self.gammas)) != sorted(all_gammas):
-            raise ValueError("gamma enumeration must cover every non-empty index set")
         self.fmins = [minimal_opens(f) for f in self.spaces]
         self.pools = {}
         for gamma in self.gammas:
@@ -279,12 +261,7 @@ class AggregateChooser:
             self.pools[gamma] = pool
 
     def initial_state(self) -> AggState:
-        return AggState(
-            picks=0,
-            phase=0,
-            substates=tuple(s.initial_state() for s in self.subs),
-            ledger=(),
-        )
+        return AggState(picks=0, phase=0, ledger=())
 
     def ledger_of(self, state: AggState) -> PhaseLedger:
         return PhaseLedger(entries=state.ledger)
@@ -314,7 +291,7 @@ class AggregateChooser:
             beta, eta = len(gamma) - len(active), 0
             for g in range(len(self.spaces)):
                 if g in active:
-                    parts[g] = self.subs[g].choose(closeds[g], state.substates[g])
+                    parts[g] = self.subs[g](closeds[g], len(state.ledger))
                 else:
                     parts[g] = self.fmins[g][0]
         else:
@@ -326,12 +303,12 @@ class AggregateChooser:
                 if parts[g] is None:
                     parts[g] = self.fmins[g][0]
         move = self.prod.box_mask(parts)
-        return Plan(phase, gamma, active, closeds, tuple(parts), move, beta, eta)
+        return Plan(phase, move, beta, eta)
 
     def choose(self, closed, state: AggState) -> int:
         return self._plan(state).move
 
-    def observe(self, state: AggState, closed, move, picks) -> AggState:
+    def observe(self, state: AggState, picks) -> AggState:
         plan = self._plan(state)
         last = state.ledger[-1] if state.ledger else None
         if last is not None and (last.alpha, last.beta, last.eta) == (plan.phase, plan.beta, plan.eta):
@@ -344,31 +321,20 @@ class AggregateChooser:
                 last.alpha, last.beta, last.eta, last.epsilon
             ):
                 raise LedgerOrderViolation(f"ledger would decrease at stage {entry.stage}")
-        substates = list(state.substates)
-        for g in plan.active:
-            y_picks = self.prod.proj_mask(picks, g)
-            substates[g] = self.subs[g].observe(
-                substates[g], plan.closeds[g], plan.parts[g], y_picks
-            )
         return AggState(
             picks=state.picks | picks,
             phase=plan.phase,
-            substates=tuple(substates),
             ledger=state.ledger + (entry,),
         )
 
 
-def aggregate_chooser(spaces, sub_strategies=None, gamma_enum=None,
-                      prod: ProductSpace | None = None) -> AggregateChooser:
-    """The aggregate strategy; each sub-strategy defaults to the minimal pi-base.
+def aggregate_chooser(spaces, prod: ProductSpace | None = None) -> AggregateChooser:
+    """The aggregate strategy with the minimal pi-base in every factor.
 
     As in ``product_chooser``, the pi-base move is the solver's best move at
     every closed state, in every variant.
     """
-    spaces = tuple(spaces)
-    if sub_strategies is None:
-        sub_strategies = [pi_base_chooser(s) for s in spaces]
-    return AggregateChooser(spaces, sub_strategies, gamma_enum, prod)
+    return AggregateChooser(spaces, prod)
 
 
 def aggregate_worst(prod: ProductSpace,

@@ -5,6 +5,7 @@ Each test prints one PASS line once its criterion holds (visible with
 only numeric caps are the stated wall-clock budgets.
 """
 
+import hashlib
 import io
 import itertools
 import time
@@ -248,21 +249,33 @@ def test_criterion_8_greedy_metric():
           f"spaces (n<=12) satisfy every greedy and collapse property")
 
 
-def test_criterion_9_determinism():
+def _suite_report(n):
     from openpoint.cli import run as cli_run
 
-    def one_run():
-        out = io.StringIO()
-        code = cli_run(
-            ["--seed", "11", "suite", "--n", "3", "--checks", "all"],
-            out=out, err=io.StringIO(),
-        )
-        return code, out.getvalue()
+    out = io.StringIO()
+    code = cli_run(
+        ["--seed", "11", "suite", "--n", str(n), "--checks", "all"],
+        out=out, err=io.StringIO(),
+    )
+    return code, out.getvalue()
 
-    code1, report1 = one_run()
-    code2, report2 = one_run()
+
+def test_criterion_9_determinism():
+    code1, report1 = _suite_report(3)
+    code2, report2 = _suite_report(3)
     assert code1 == code2 == 0
     assert report1 == report2, "reports differ between identical runs"
     assert report1.count("\n") > 100
+    assert hashlib.sha256(report1.encode()).hexdigest() == (
+        "71de0832ba84ebf0853ee7bca07fd591c0a261e99f827f7d2b96511e0ea0c44f"
+    ), "the n = 3 suite report changed"
     print(f"PASS criterion 9: two identical-seed suite runs produced "
           f"byte-identical NDJSON reports ({report1.count(chr(10))} lines)")
+
+
+def test_suite_report_n4_is_pinned():
+    code, report = _suite_report(4)
+    assert code == 0
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "d73a092b9b6b8eff3ee84ea9df9680d53ba334b5c2872fd7e9916011a5059417"
+    ), "the n = 4 suite report changed"

@@ -219,7 +219,7 @@ class TestProductChooser:
         prod = product([x, y])
         chooser = product_chooser(x, y, prod=prod)
         assert evaluate_chooser(prod.space, chooser, variant) == 4
-        done = (0, tuple((y.full, 0) for _ in range(2)))
+        done = (0, (y.full, y.full))
         with pytest.raises(InvariantViolation, match="all sub-games finished"):
             chooser.choose(0, done)
 
@@ -269,18 +269,6 @@ class TestAggregateChooser:
         ))
         with pytest.raises(LedgerOrderViolation):
             bad.check_increasing()
-
-    def test_custom_gamma_enum_must_cover(self):
-        s = make_sierpinski()
-        with pytest.raises(ValueError):
-            aggregate_chooser([s, s], gamma_enum=[(0,), (0, 1)])
-
-    def test_gamma_order_does_not_break_termination(self):
-        x, y = make_discrete(2), make_sierpinski()
-        for order in ([(0,), (1,), (0, 1)], [(0, 1), (1,), (0,)]):
-            agg = aggregate_chooser([x, y], gamma_enum=order)
-            worst = evaluate_chooser(agg.prod.space, agg)
-            assert worst <= solve_game(x).gd * solve_game(y).gd
 
     def test_three_small_factors(self):
         x = make_indiscrete(2)
