@@ -113,7 +113,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a space file, print its canonical form")
+    p = sub.add_parser("validate",
+                       help="validate a space file, print it with opens sorted by size, then labels")
     p.add_argument("space")
 
     p = sub.add_parser("invariants", help="compute d, delta, gd, pi, w, t for a space")

@@ -9,7 +9,8 @@ is the whole point.
 
 from __future__ import annotations
 
-from itertools import permutations, product as iter_product
+from functools import cache
+from itertools import permutations
 
 from .game import GameVariant, evaluate_chooser, exact_force_set, solve_game, solved_gd
 from .invariants import (
@@ -33,13 +34,11 @@ from .products import (
 from .space import (
     FiniteSpace,
     TooLarge,
-    bits,
-    closure,
+    closures,
     enumerate_upsets,
     from_preorder,
     inclusion_minimal,
     interior,
-    is_dense,
     minimal_opens,
     space_from_masks,
     subspace,
@@ -48,6 +47,7 @@ from .strategies import aggregate_worst, dense_point_picker, pi_base_chooser, pr
 
 FAMILY_METHOD_CAP = 4
 PREORDER_METHOD_CAP = 5
+CANONICAL_FORM_CAP = 6  # the relabel tables hold n! * 2^n entries
 PAIR_CAP = 3  # pair checks use factors of at most this many points
 
 
@@ -84,35 +84,35 @@ def _family_closure_masks(n: int):
 def _preorder_masks(n: int):
     """Opens of every topology: the up-sets of each reflexive transitive relation.
 
-    The families are validated once, as spaces, by ``enumerate_labeled``.
+    Row x, the points above x, is chosen for x = 0, 1, ... by backtracking.
+    It holds x and agrees with every earlier row y both ways: y in row x
+    needs row y inside row x, and x in row y needs row x inside row y.
+    Every pair of points is checked once, so each completed choice is a
+    preorder.  The families are validated once, as spaces, by
+    ``enumerate_labeled``.
     """
     if n > PREORDER_METHOD_CAP:
         raise TooLarge(f"preorder generation is capped at n = {PREORDER_METHOD_CAP}")
-    row_choices = []
-    for x in range(n):
-        must = 1 << x
-        opts = []
-        for extra in range(1 << n):
-            if extra & must == must:
-                opts.append(extra)
-        row_choices.append(opts)
+    rows = [0] * n
     out = []
-    for rows in iter_product(*row_choices):
-        ok = True
-        for x in range(n):
-            rx = rows[x]
-            r = rx
-            while r:
-                low = r & -r
-                y = low.bit_length() - 1
-                if rows[y] & ~rx:
-                    ok = False
-                    break
-                r ^= low
-            if not ok:
-                break
-        if ok:
+
+    def place(x):
+        if x == n:
             out.append(tuple(enumerate_upsets(n, rows)))
+            return
+        bit = 1 << x
+        for row in range(bit, 1 << n):
+            if not row & bit:
+                continue
+            for y in range(x):
+                ry = rows[y]
+                if (row >> y & 1 and ry & ~row) or (ry & bit and row & ~ry):
+                    break
+            else:
+                rows[x] = row
+                place(x + 1)
+
+    place(0)
     return sorted(set(out))
 
 
@@ -139,21 +139,28 @@ def enumerate_labeled(n: int, method: str = "preorder"):
         yield space_from_masks(f"T{n}.{idx}", labels, fam)
 
 
-def _permute_mask(mask: int, perm) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= 1 << perm[i]
-    return out
+@cache
+def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
+    """One table per permutation of n points: entry m is the image of mask m.
+
+    These are constants of n, n! * 2^n entries in all.
+    """
+    tables = []
+    for perm in permutations(range(n)):
+        img = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(tuple(img))
+    return tuple(tables)
 
 
 def canonical_form(space: FiniteSpace) -> tuple[int, ...]:
     """Lexicographically least sorted-opens tuple over all relabelings."""
-    best = None
-    for perm in permutations(range(space.n)):
-        cand = tuple(sorted(_permute_mask(u, perm) for u in space.opens))
-        if best is None or cand < best:
-            best = cand
-    return best
+    if space.n > CANONICAL_FORM_CAP:
+        raise TooLarge(f"canonical forms are capped at n = {CANONICAL_FORM_CAP}")
+    opens = space.opens
+    return min(tuple(sorted(map(t.__getitem__, opens))) for t in _relabelings(space.n))
 
 
 def enumerate_unlabeled(n: int):
@@ -176,7 +183,7 @@ def enumerate_unlabeled(n: int):
 
 
 def _check_kuratowski(space):
-    cls = [closure(space, s) for s in range(space.full + 1)]
+    cls = closures(space)
     if cls[0] != 0:
         return {"subset": 0}
     for s, cs in enumerate(cls):
@@ -285,11 +292,12 @@ def _check_value_monotone(space):
 
 def _check_subspace_monotone(space):
     gd = solved_gd(space)
+    cls = closures(space)
     subjects = {u for u in space.opens if u}
-    subjects |= {a for a in range(1, space.full + 1) if is_dense(space, a)}
+    subjects |= {a for a in range(1, space.full + 1) if cls[a] == space.full}
     for s in sorted(subjects):
-        cl_s = closure(space, s)
-        if closure(space, interior(space, cl_s)) != cl_s:
+        cl_s = cls[s]
+        if cls[interior(space, cl_s)] != cl_s:
             return {"subset": s, "reason": "regularity identity failed"}
         sub_gd = solve_game(subspace(space, s)).gd
         if sub_gd > gd:
@@ -297,30 +305,38 @@ def _check_subspace_monotone(space):
     return None
 
 
-def _check_dense_lower_bound(space):
-    if space.n > 4:
-        return None
+def _shortest_play(space, picker) -> int:
+    """Fewest stages the picker needs, over every line of offered opens.
+
+    The picker ignores the stage, so the stages still needed depend only on
+    the closed set, and each closed set is solved once.
+    """
     clpt = space.point_closures()
+    offers = [u for u in space.opens if u]
+    memo = {space.full: 0}
+
+    def shortest(closed):
+        got = memo.get(closed)
+        if got is None:
+            after = []
+            for u in offers:
+                if not u & closed:
+                    picks = picker(closed, u, 0, None)
+                    after.append(shortest(closed | clpt[(picks & -picks).bit_length() - 1]))
+            got = memo[closed] = 1 + min(after)
+        return got
+
+    return shortest(0)
+
+
+def _check_dense_lower_bound(space):
+    cls = closures(space)
     for a in range(1, space.full + 1):
-        if not is_dense(space, a):
+        if cls[a] != space.full:
             continue
-        picker = dense_point_picker(space, a)
+        shortest = _shortest_play(space, dense_point_picker(space, a))
         target = density(subspace(space, a))
-        shortest = None
-
-        def walk(closed, stage, acc):
-            nonlocal shortest
-            if closed == space.full:
-                shortest = acc if shortest is None else min(shortest, acc)
-                return
-            for u in space.opens:
-                if u and not u & closed:
-                    picks = picker(closed, u, stage, None)
-                    walk(closed | clpt[(picks & -picks).bit_length() - 1],
-                         stage + 1, acc + 1)
-
-        walk(0, 0, 0)
-        if shortest is None or shortest < target:
+        if shortest < target:
             return {"dense_set": a, "shortest": shortest, "target": target}
     return None
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from .space import (
     FiniteSpace,
     closure,
-    is_dense,
+    closures,
     minimal_opens,
     popcount,
     subspace,
@@ -101,8 +101,9 @@ def delta(space: FiniteSpace) -> int:
 def delta_oracle(space: FiniteSpace) -> int:
     """Unpruned route: build every dense subspace and brute-force d there."""
     best = 0
+    cls = closures(space)
     for a in range(1, space.full + 1):
-        if is_dense(space, a):
+        if cls[a] == space.full:
             best = max(best, density_brute(subspace(space, a)))
     return best
 
@@ -111,13 +112,14 @@ def tightness(space: FiniteSpace) -> int:
     """max over (x, Y) with x in cl(Y) of the least |Z|, Z in Y, x in cl(Z)."""
     worst = 0
     by_size = _subsets_by_size(space.full)
+    cls = closures(space)
     for x in range(space.n):
         for y_set in range(1, space.full + 1):
-            if not closure(space, y_set) >> x & 1:
+            if not cls[y_set] >> x & 1:
                 continue
             need = None
             for z in by_size:
-                if z and z & y_set == z and closure(space, z) >> x & 1:
+                if z and z & y_set == z and cls[z] >> x & 1:
                     need = popcount(z)
                     break
             assert need is not None

@@ -11,7 +11,8 @@ them.  A product's rows grow with its points, its open lattice grows
 exponentially; so ``opens`` is the family validated by ``space_from_masks``
 or, for a space built from rows, the up-sets enumerated on first access
 under ``OPENS_CAP``.  ``closure`` scans that lattice, as the oracle the
-derived routes are checked against.
+derived routes are checked against; ``closures`` keeps its value for every
+subset.
 """
 
 from __future__ import annotations
@@ -256,6 +257,15 @@ def closure(space: FiniteSpace, subset: int) -> int:
         if u & subset == 0:
             exterior |= u
     return space.full ^ exterior
+
+
+def closures(space: FiniteSpace) -> tuple[int, ...]:
+    """``closure`` of every subset, indexed by the subset; built once per space.
+
+    For the routes that sweep every subset.  A single query stays a
+    ``closure`` call, so it never builds the 2^n entries.
+    """
+    return space.memo("closures", lambda: tuple(closure(space, s) for s in range(space.full + 1)))
 
 
 def interior(space: FiniteSpace, subset: int) -> int:

@@ -259,6 +259,7 @@ class AggregateChooser:
                     parts[g] = m
                 pool.append((combo, self.prod.box_mask(parts)))
             self.pools[gamma] = pool
+        self.plans: dict[AggState, Plan] = {}
 
     def initial_state(self) -> AggState:
         return AggState(picks=0, phase=0, ledger=())
@@ -274,6 +275,13 @@ class AggregateChooser:
         return None
 
     def _plan(self, state: AggState) -> Plan:
+        """The plan at ``state``, made once: ``observe`` replays what ``choose`` planned."""
+        plan = self.plans.get(state)
+        if plan is None:
+            plan = self.plans[state] = self._make_plan(state)
+        return plan
+
+    def _make_plan(self, state: AggState) -> Plan:
         picks = state.picks
         phase = state.phase
         while phase < len(self.gammas):

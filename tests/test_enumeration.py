@@ -1,21 +1,60 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from openpoint import enumeration
 from openpoint.enumeration import (
+    _check_dense_lower_bound,
     _check_exact_force,
     _check_oracles,
+    _shortest_play,
     canonical_form,
     enumerate_labeled,
+    enumerate_unlabeled,
     verify_suite,
 )
-from openpoint.space import TooLarge, space_from_masks
+from openpoint.space import TooLarge, bits, is_dense, space_from_masks
+from openpoint.strategies import dense_point_picker
 
-from .conftest import make_two_sierpinski
+from .conftest import make_indiscrete, make_two_sierpinski
 from .util import spaces
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
 UNLABELED_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33}
+
+
+def _permute_mask(mask, perm):
+    out = 0
+    for i in bits(mask):
+        out |= 1 << perm[i]
+    return out
+
+
+def brute_canonical_form(space):
+    """Least sorted-opens tuple, relabeling every open bit by bit."""
+    return min(
+        tuple(sorted(_permute_mask(u, perm) for u in space.opens))
+        for perm in permutations(range(space.n))
+    )
+
+
+def brute_shortest_play(space, picker):
+    """Every line of offered opens walked out, nothing remembered."""
+    clpt = space.point_closures()
+    lengths = []
+
+    def walk(closed, stage, acc):
+        if closed == space.full:
+            lengths.append(acc)
+            return
+        for u in space.opens:
+            if u and not u & closed:
+                picks = picker(closed, u, stage, None)
+                walk(closed | clpt[(picks & -picks).bit_length() - 1], stage + 1, acc + 1)
+
+    walk(0, 0, 0)
+    return min(lengths)
 
 
 class TestLabeled:
@@ -54,12 +93,29 @@ class TestUnlabeled:
     def test_class_counts(self, n, count, unlabeled_corpus):
         assert len(unlabeled_corpus[n]) == count
 
+    def test_five_point_class_count(self):
+        # OEIS A001930
+        assert sum(1 for _ in enumerate_unlabeled(5)) == 139
+
     def test_representatives_are_canonical(self, unlabeled_corpus):
         for s in unlabeled_corpus[3]:
             assert canonical_form(s) == s.opens
 
 
 class TestCanonicalForm:
+    def test_matches_the_bitwise_relabeling(self, labeled_corpus):
+        for spaces in labeled_corpus.values():
+            for space in spaces:
+                assert canonical_form(space) == brute_canonical_form(space), space.name
+
+    def test_capped_past_six_points(self, monkeypatch):
+        def boom(n):
+            raise AssertionError("no relabel table past the cap")
+
+        monkeypatch.setattr(enumeration, "_relabelings", boom)
+        with pytest.raises(TooLarge):
+            canonical_form(make_indiscrete(7))
+
     @given(spaces(max_points=4))
     @settings(max_examples=40)
     def test_idempotent(self, space):
@@ -99,6 +155,26 @@ class TestSuite:
     def test_dense_lower_bound_check_four_points(self):
         ok, records = verify_suite(4, checks="dense-lower-bound")
         assert ok and len(records) == 355
+
+    def test_shortest_play_matches_the_unremembered_walk(self, labeled_corpus):
+        for spaces in labeled_corpus.values():
+            for space in spaces:
+                for a in range(1, space.full + 1):
+                    if is_dense(space, a):
+                        picker = dense_point_picker(space, a)
+                        assert _shortest_play(space, picker) == brute_shortest_play(space, picker)
+
+    def test_dense_lower_bound_walks_five_points(self, monkeypatch):
+        space = make_indiscrete(5)
+        made = []
+
+        def counted(space, dense_set):
+            made.append(dense_set)
+            return dense_point_picker(space, dense_set)
+
+        monkeypatch.setattr(enumeration, "dense_point_picker", counted)
+        assert _check_dense_lower_bound(space) is None
+        assert made == list(range(1, space.full + 1))  # every non-empty set is dense
 
     def test_one_point_space_all_space_checks(self):
         ok, records = verify_suite(

@@ -128,7 +128,7 @@ class TestReport:
             raise AssertionError("the report must not solve a game or scan subsets")
 
         monkeypatch.setattr(game.StrategyTable, "__call__", boom)
-        for name in ("tightness", "closure", "is_dense"):
+        for name in ("tightness", "closure", "closures"):
             monkeypatch.setattr(invariants, name, boom)
         rep = invariant_report(make_two_sierpinski())
         assert rep == InvariantReport(d=2, delta=2, gd=2, pi=2, w=4, t=1)

@@ -15,6 +15,7 @@ from openpoint.space import (
     TopologyError,
     UnknownLabel,
     closure,
+    closures,
     from_preorder,
     interior,
     is_dense,
@@ -138,6 +139,12 @@ class TestClosure:
     def test_additive_closure_matches_lattice_scan(self, pair):
         space, s = pair
         assert space.closure_of(s) == closure(space, s)
+
+    @given(spaces())
+    def test_closure_table_is_one_scan_per_subset(self, space):
+        table = closures(space)
+        assert table == tuple(closure(space, s) for s in range(space.full + 1))
+        assert closures(space) is table
 
     @given(space_and_subset())
     def test_interior_duality(self, pair):

@@ -295,6 +295,21 @@ class TestAggregateChooser:
                 assert (agg._first_missed(gamma, picks) is None) == dense
 
     @pytest.mark.parametrize("variant", list(GameVariant))
+    def test_each_state_is_planned_once(self, monkeypatch, variant):
+        x, y = make_discrete(2), make_sierpinski()
+        agg = aggregate_chooser([x, y])
+        planned = []
+        make_plan = agg._make_plan
+
+        def counted(state):
+            planned.append(state)
+            return make_plan(state)
+
+        monkeypatch.setattr(agg, "_make_plan", counted)
+        evaluate_chooser(agg.prod.space, agg, variant)
+        assert planned and len(planned) == len(set(planned)) == len(agg.plans)
+
+    @pytest.mark.parametrize("variant", list(GameVariant))
     def test_aggregate_worst_is_evaluated_once_per_product_and_variant(self, monkeypatch,
                                                                       variant):
         import openpoint.strategies as strategies
