@@ -80,6 +80,12 @@ class StrategyTable:
     single-point next states of its points, so the solver branches over the
     unions of the distinct single-point next states instead of over every
     reply subset.
+
+    The reply list is built once per table: for each minimal open m, in the
+    order of ``minimal_opens``, the distinct closures ``cl{x}`` of its
+    points, and in the multi-point variant every union of them, since
+    ``closed | (a | b) = (closed | a) | (closed | b)``.  Solving a state is
+    one pass over that list that reads the memo before it recurses.
     """
 
     def __init__(self, space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED):
@@ -87,6 +93,10 @@ class StrategyTable:
         self.variant = variant
         self.value: dict[int, float] = {space.full: 0}
         self.best_move: dict[int, int] = {}
+        replies = _reply_closures(space)
+        if variant is GameVariant.MULTI_POINT:
+            replies = [(m, tuple(_unions(adds))) for m, adds in replies]
+        self._replies = replies
 
     @property
     def gd(self) -> int:
@@ -97,25 +107,21 @@ class StrategyTable:
         got = value.get(closed)
         if got is not None:
             return got
-        clpt = self.space.point_closures()
-        mins = minimal_opens(self.space)
-        multi = self.variant is GameVariant.MULTI_POINT
+        get, replies = value.get, self._replies
 
         def visit(closed: int) -> float:
-            got = value.get(closed)
-            if got is not None:
-                return got
             best_val, best_mv = INFINITE, None
-            for m in mins:
+            for m, adds in replies:
                 if m & closed:
                     continue
-                if multi:
-                    nexts = {closed | clpt[x] for x in bits(m)}
-                    if len(nexts) > 1:
-                        nexts = _unions(nexts)
-                    branch = max(visit(s) for s in nexts)
-                else:
-                    branch = max(visit(closed | clpt[x]) for x in bits(m))
+                branch = -1  # below every value
+                for add in adds:
+                    nxt = closed | add
+                    val = get(nxt)
+                    if val is None:
+                        val = visit(nxt)
+                    if val > branch:
+                        branch = val
                 if branch < best_val:
                     best_val, best_mv = branch, m
             value[closed] = best_val + 1
@@ -134,6 +140,16 @@ class StrategyTable:
             if closed in self.best_move:
                 rec["best_move"] = sorted(self.space.label_set(self.best_move[closed]))
             yield rec
+
+
+def _reply_closures(space: FiniteSpace) -> list[tuple[int, tuple[int, ...]]]:
+    """``(m, adds)`` per minimal open m: the distinct closures of its points.
+
+    Offering m at ``closed`` leads to the states ``closed | a`` for a in
+    ``adds``; equal closures are kept once, which changes no max or meet.
+    """
+    clpt = space.point_closures()
+    return [(m, tuple(dict.fromkeys(clpt[x] for x in bits(m)))) for m in minimal_opens(space)]
 
 
 def _unions(sets) -> set[int]:
@@ -178,8 +194,7 @@ def exact_force_set(space: FiniteSpace) -> frozenset[int]:
     the restricted rule, the formulation under which outcomes are unchanged
     and the recursion is well-founded.
     """
-    clpt = space.point_closures()
-    mins = minimal_opens(space)
+    replies = _reply_closures(space)
     memo: dict[int, frozenset[int]] = {space.full: frozenset({0})}
 
     def visit(closed: int) -> frozenset[int]:
@@ -187,12 +202,12 @@ def exact_force_set(space: FiniteSpace) -> frozenset[int]:
         if got is not None:
             return got
         out: set[int] = set()
-        for m in mins:
+        for m, adds in replies:
             if m & closed:
                 continue
             shared = None
-            for x in bits(m):
-                nxt = visit(closed | clpt[x])
+            for add in adds:
+                nxt = visit(closed | add)
                 shared = nxt if shared is None else shared & nxt
                 if not shared:
                     break

@@ -1,6 +1,6 @@
 import pytest
 
-from openpoint.space import space_from_masks, validate_topology
+from openpoint.space import from_preorder, space_from_masks, validate_topology
 
 
 def make_sierpinski():
@@ -33,6 +33,17 @@ def make_two_sierpinski():
         for v in (0b0000, 0b1000, 0b1100):
             opens.append(u | v)
     return space_from_masks("two_sierpinski", ["a", "b", "c", "d"], opens)
+
+
+def make_cli_class_factors():
+    """X with 3 minimal opens and 12 opens, Y with 2 minimal opens and 6 opens.
+
+    Their product is a 16-point space of 720 opens and 6 minimal opens, the
+    size class of the command sessions in the ``cli`` benchmark workload.
+    """
+    x = from_preorder([0b0001, 0b0010, 0b0100, 0b1001], "X", [f"x{i}" for i in range(4)])
+    y = from_preorder([0b0001, 0b0010, 0b0111, 0b1111], "Y", [f"y{i}" for i in range(4)])
+    return x, y
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import openpoint
 from openpoint.cli import run
 from openpoint.space import space_from_json, space_to_json
 
-from .conftest import make_discrete, make_indiscrete, make_sierpinski
+from .conftest import make_cli_class_factors, make_discrete, make_indiscrete, make_sierpinski
 
 
 @pytest.fixture
@@ -25,6 +26,10 @@ def discrete2_file(tmp_path):
     path = tmp_path / "discrete2.json"
     path.write_text(json.dumps(space_to_json(make_discrete(2))))
     return str(path)
+
+
+# sha256 of ``solve`` on the product of ``make_cli_class_factors()``
+SIXTEEN_POINT_SOLVE_SHA256 = "d5a75ddfbd8ba60a010931e090ff0123138cd558f9bd88848e93365483ebff3f"
 
 
 def invoke(argv, stdin_text=""):
@@ -114,6 +119,21 @@ class TestSolve:
         recs = ndjson_lines(out)
         empty = next(r for r in recs if r["closed_set"] == [])
         assert empty["value"] == 1 and empty["best_move"] == ["b"]
+
+    @pytest.mark.parametrize("variant", ["restricted", "free", "multi-point"])
+    def test_sixteen_point_product_table_is_pinned(self, tmp_path, variant):
+        # the three variants print the same 64 states and moves on this product
+        paths = []
+        for space in make_cli_class_factors():
+            path = tmp_path / f"{space.name}.json"
+            path.write_text(json.dumps(space_to_json(space)))
+            paths.append(str(path))
+        prod = str(tmp_path / "prod.json")
+        assert invoke(["product", *paths, "-o", prod])[0] == 0
+        code, out, err = invoke(["solve", prod, "--variant", variant])
+        assert code == 0, err
+        assert len(out.splitlines()) == 64
+        assert hashlib.sha256(out.encode()).hexdigest() == SIXTEEN_POINT_SOLVE_SHA256
 
 
 class TestPlay:
@@ -222,6 +242,14 @@ class TestPlay:
                                 stdin_text="(p0,b)\n(p1,b)\n")
         assert code == 0, err
         assert ndjson_lines(out)[-1] == {"length": 2, "gd": 2, "matched_gd": True}
+
+    def test_discrete_4_squared_optimal_multi_point_play(self, tmp_path):
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(space_to_json(make_discrete(4))))
+        code, out, err = invoke(["play", str(path), str(path), "--pI", "optimal",
+                                 "--pII", "optimal", "--variant", "multi-point"])
+        assert code == 0, err
+        assert ndjson_lines(out)[-1] == {"length": 16, "gd": 16, "matched_gd": True}
 
     def test_optimal_play_past_the_state_cap_is_refused(self, tmp_path):
         # D3 x D7 has 21 minimal opens: a full solve may meet 2^21 closed states

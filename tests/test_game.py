@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -16,11 +17,13 @@ from openpoint.game import (
     solve_game,
     solved_gd,
     stalling_picker,
+    value_function,
 )
 from openpoint.invariants import delta, density
-from openpoint.space import TooLarge, validate_topology
+from openpoint.products import product
+from openpoint.space import FiniteSpace, TooLarge, minimal_opens, validate_topology
 
-from .conftest import make_chain, make_discrete, make_indiscrete
+from .conftest import make_chain, make_cli_class_factors, make_discrete, make_indiscrete
 from .util import spaces
 
 ALL_VARIANTS = list(GameVariant)
@@ -144,6 +147,115 @@ def _full_minimax(space):
 
     visit(0)
     return memo
+
+
+def _reference_solve(space, variant):
+    """The solver before its reply list, as ``(value, best_move)`` from the empty state.
+
+    Each state walks the points of every minimal open and, in the
+    multi-point variant, builds the unions of its distinct next states anew.
+    """
+    clpt = space.point_closures()
+    mins = minimal_opens(space)
+    multi = variant is GameVariant.MULTI_POINT
+    value, best = {space.full: 0}, {}
+
+    def unions(sets):
+        out = set()
+        for s in sets:
+            out |= {s | u for u in out}
+            out.add(s)
+        return out
+
+    def visit(closed):
+        got = value.get(closed)
+        if got is not None:
+            return got
+        best_val, best_mv = math.inf, None
+        for m in mins:
+            if m & closed:
+                continue
+            if multi:
+                nexts = {closed | clpt[x] for x in _points(m)}
+                if len(nexts) > 1:
+                    nexts = unions(nexts)
+                branch = max(visit(s) for s in nexts)
+            else:
+                branch = max(visit(closed | clpt[x]) for x in _points(m))
+            if branch < best_val:
+                best_val, best_mv = branch, m
+        value[closed] = best_val + 1
+        if best_mv is not None:
+            best[closed] = best_mv
+        return best_val + 1
+
+    visit(0)
+    return value, best
+
+
+class TestReferenceSolver:
+    """The table's values and best moves equal the reference solver's, in every variant."""
+
+    @staticmethod
+    def _assert_same(space):
+        for variant in ALL_VARIANTS:
+            table = solve_game(space, variant)
+            assert (table.value, table.best_move) == _reference_solve(space, variant)
+
+    def test_every_labeled_space_up_to_four_points(self, labeled_corpus):
+        for n in range(1, 5):
+            for space in labeled_corpus[n]:
+                self._assert_same(space)
+
+    def test_pair_corpus_products(self, labeled_corpus):
+        small = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
+        for x, y in itertools.product(small, repeat=2):
+            self._assert_same(product([x, y]).space)
+
+    def test_sixteen_point_product(self):
+        self._assert_same(product(list(make_cli_class_factors())).space)
+
+
+class TestReplyList:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Names of the setup reads made while the patch is on, one entry per call."""
+        import openpoint.game as game
+
+        got = []
+        mins, clpt = game.minimal_opens, FiniteSpace.point_closures
+
+        def counted_mins(space):
+            got.append("minimal_opens")
+            return mins(space)
+
+        def counted_clpt(space):
+            got.append("point_closures")
+            return clpt(space)
+
+        monkeypatch.setattr(game, "minimal_opens", counted_mins)
+        monkeypatch.setattr(FiniteSpace, "point_closures", counted_clpt)
+        return got
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_built_once_per_table(self, reads, variant):
+        space = product(list(make_cli_class_factors())).space
+        clpt = space.point_closures()
+        reads.clear()
+        table = value_function(space, variant)
+        table(0)
+        # next states off the reachable set are solved by later calls
+        for closed in list(table.value):
+            for c in clpt:
+                table(closed | c)
+        assert len(table.value) > 1 << len(minimal_opens(space))
+        assert sorted(reads) == ["minimal_opens", "point_closures"]
+
+    def test_exact_force_reads_once(self, reads):
+        space = product(list(make_cli_class_factors())).space
+        reads.clear()
+        assert exact_force_set(space) == {6}
+        assert sorted(reads) == ["minimal_opens", "point_closures"]
 
 
 class TestSolvedGd:
