@@ -75,17 +75,14 @@ class StrategyTable:
     one whose picker replies are a subset of its own, so this never changes
     the value.  A minimal open is either inside the closure or disjoint from
     it, and one inside lets the picker re-pick a covered point forever, so
-    in every variant the best offer is a disjoint minimal open.  A
-    multi-point reply S leads to ``closed | cl(S)``, the union of the
-    single-point next states of its points, so the solver branches over the
-    unions of the distinct single-point next states instead of over every
-    reply subset.
+    in every variant the best offer is a disjoint minimal open.
 
-    The reply list is built once per table: for each minimal open m, in the
-    order of ``minimal_opens``, the distinct closures ``cl{x}`` of its
-    points, and in the multi-point variant every union of them, since
-    ``closed | (a | b) = (closed | a) | (closed | b)``.  Solving a state is
-    one pass over that list that reads the memo before it recurses.
+    Every point x of a minimal open m has N(x) = m, so all points of m share
+    one closure ``cl{x} = {y : x in N(y)}``, the closure of m.  Any reply to
+    m, one point or (multi-point) any non-empty subset, leads to the same
+    state ``closed | cl(m)``, so every variant solves the same recursion.
+    The reply list ``(m, cl(m))`` is built once per table; solving a state
+    is one pass over it that reads the memo before it recurses.
     """
 
     def __init__(self, space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED):
@@ -93,10 +90,7 @@ class StrategyTable:
         self.variant = variant
         self.value: dict[int, float] = {space.full: 0}
         self.best_move: dict[int, int] = {}
-        replies = _reply_closures(space)
-        if variant is GameVariant.MULTI_POINT:
-            replies = [(m, tuple(_unions(adds))) for m, adds in replies]
-        self._replies = replies
+        self._replies = _reply_closures(space)
 
     @property
     def gd(self) -> int:
@@ -111,19 +105,15 @@ class StrategyTable:
 
         def visit(closed: int) -> float:
             best_val, best_mv = INFINITE, None
-            for m, adds in replies:
+            for m, add in replies:
                 if m & closed:
                     continue
-                branch = -1  # below every value
-                for add in adds:
-                    nxt = closed | add
-                    val = get(nxt)
-                    if val is None:
-                        val = visit(nxt)
-                    if val > branch:
-                        branch = val
-                if branch < best_val:
-                    best_val, best_mv = branch, m
+                nxt = closed | add
+                val = get(nxt)
+                if val is None:
+                    val = visit(nxt)
+                if val < best_val:
+                    best_val, best_mv = val, m
             value[closed] = best_val + 1
             if best_mv is not None:
                 best[closed] = best_mv
@@ -142,23 +132,14 @@ class StrategyTable:
             yield rec
 
 
-def _reply_closures(space: FiniteSpace) -> list[tuple[int, tuple[int, ...]]]:
-    """``(m, adds)`` per minimal open m: the distinct closures of its points.
+def _reply_closures(space: FiniteSpace) -> list[tuple[int, int]]:
+    """``(m, cl(m))`` per minimal open m, in the order of ``minimal_opens``.
 
-    Offering m at ``closed`` leads to the states ``closed | a`` for a in
-    ``adds``; equal closures are kept once, which changes no max or meet.
+    Offering m at ``closed`` leads to ``closed | cl(m)`` whatever the picker
+    takes from m; ``cl(m)`` is read off its lowest point.
     """
     clpt = space.point_closures()
-    return [(m, tuple(dict.fromkeys(clpt[x] for x in bits(m)))) for m in minimal_opens(space)]
-
-
-def _unions(sets) -> set[int]:
-    """Every union of a non-empty subfamily of ``sets``."""
-    out: set[int] = set()
-    for s in sets:
-        out |= {s | u for u in out}
-        out.add(s)
-    return out
+    return [(m, clpt[(m & -m).bit_length() - 1]) for m in minimal_opens(space)]
 
 
 def solve_game(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED) -> StrategyTable:
@@ -202,17 +183,9 @@ def exact_force_set(space: FiniteSpace) -> frozenset[int]:
         if got is not None:
             return got
         out: set[int] = set()
-        for m, adds in replies:
-            if m & closed:
-                continue
-            shared = None
-            for add in adds:
-                nxt = visit(closed | add)
-                shared = nxt if shared is None else shared & nxt
-                if not shared:
-                    break
-            if shared:
-                out.update(k + 1 for k in shared)
+        for m, add in replies:
+            if not m & closed:
+                out.update(k + 1 for k in visit(closed | add))
         memo[closed] = frozenset(out)
         return memo[closed]
 

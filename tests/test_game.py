@@ -194,7 +194,12 @@ def _reference_solve(space, variant):
 
 
 class TestReferenceSolver:
-    """The table's values and best moves equal the reference solver's, in every variant."""
+    """The table's values and best moves equal the reference solver's, in every variant.
+
+    The reference walks every point of an offer and every multi-point
+    reply state, so this also checks that one closure per minimal open
+    loses nothing.
+    """
 
     @staticmethod
     def _assert_same(space):
@@ -217,6 +222,14 @@ class TestReferenceSolver:
 
 
 class TestReplyList:
+    def test_points_of_a_minimal_open_share_one_closure(self, labeled_corpus):
+        cases = [s for n in range(1, 5) for s in labeled_corpus[n]]
+        cases.append(product(list(make_cli_class_factors())).space)
+        for space in cases:
+            clpt = space.point_closures()
+            for m in minimal_opens(space):
+                assert len({clpt[x] for x in _points(m)}) == 1, (space, m)
+
     @pytest.fixture
     def reads(self, monkeypatch):
         """Names of the setup reads made while the patch is on, one entry per call."""
