@@ -52,10 +52,6 @@ def _emit(stream, obj, fmt):
         stream.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _variant(name: str) -> GameVariant:
-    return {v.value: v for v in GameVariant}[name]
-
-
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -123,7 +119,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="emit the optimal-play table of a space")
     p.add_argument("space")
     p.add_argument("--variant", choices=[v.value for v in GameVariant],
-                   default=GameVariant.RESTRICTED.value)
+                   default=GameVariant.RESTRICTED.value,
+                   help="every variant prints the same table")
 
     p = sub.add_parser("play", help="play one game, interactively or between policies")
     p.add_argument("spaces", nargs="+",
@@ -180,7 +177,7 @@ def cmd_invariants(args, out, *_):
 
 def cmd_solve(args, out, *_):
     space = _read(args.space, load_space)
-    table = solve_game(space, _variant(args.variant))
+    table = solve_game(space)
     for rec in table.records():
         _emit(out, rec, args.format)
     return 0
@@ -269,7 +266,7 @@ def cmd_play(args, out, err, stdin):
         space = prod.space if prod else spaces_list[0]
         table = None
         if "optimal" in (args.chooser, args.picker):
-            table = solve_game(space, _variant(args.variant))
+            table = solve_game(space)
         chooser, agg = _build_chooser(args, spaces_list, prod, table)
         picker = _build_picker(args, space, table)
         if picker is None:
@@ -284,7 +281,7 @@ def cmd_play(args, out, err, stdin):
             }, args.format)
 
         transcript, final_state = run_game(
-            space, chooser, picker, _variant(args.variant),
+            space, chooser, picker, GameVariant(args.variant),
             rng=random.Random(args.seed), on_step=emit_step,
         )
         # gd is |minimal opens| in every variant; the suite's ``oracles``

@@ -47,19 +47,15 @@ class InvariantViolation(AssertionError):
 
 
 def _multi_replies(move: int):
-    pts = list(bits(move))
+    pts = [1 << x for x in bits(move)]
     if len(pts) > MULTI_POINT_CAP:
         raise TooLarge(
             f"multi-point replies over a {len(pts)}-point open exceed the cap of {MULTI_POINT_CAP}"
         )
-    subsets = []
-    for code in range(1, 1 << len(pts)):
-        mask = 0
-        for i, p in enumerate(pts):
-            if code >> i & 1:
-                mask |= 1 << p
-        subsets.append(mask)
-    return subsets
+    subsets = [0]  # subsets[code] joins the points pts[i] with bit i set in code
+    for p in pts:
+        subsets += [s | p for s in subsets]
+    return subsets[1:]
 
 
 class StrategyTable:
@@ -79,15 +75,14 @@ class StrategyTable:
 
     Every point x of a minimal open m has N(x) = m, so all points of m share
     one closure ``cl{x} = {y : x in N(y)}``, the closure of m.  Any reply to
-    m, one point or (multi-point) any non-empty subset, leads to the same
-    state ``closed | cl(m)``, so every variant solves the same recursion.
+    m, one point or any non-empty subset, leads to the same state
+    ``closed | cl(m)``: one table serves every ``GameVariant``.
     The reply list ``(m, cl(m))`` is built once per table; solving a state
     is one pass over it that reads the memo before it recurses.
     """
 
-    def __init__(self, space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED):
+    def __init__(self, space: FiniteSpace):
         self.space = space
-        self.variant = variant
         self.value: dict[int, float] = {space.full: 0}
         self.best_move: dict[int, int] = {}
         self._replies = _reply_closures(space)
@@ -142,8 +137,8 @@ def _reply_closures(space: FiniteSpace) -> list[tuple[int, int]]:
     return [(m, clpt[(m & -m).bit_length() - 1]) for m in minimal_opens(space)]
 
 
-def solve_game(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED) -> StrategyTable:
-    """Full minimax over every closed state reachable from the empty one.
+def solve_game(space: FiniteSpace) -> StrategyTable:
+    """One full minimax for every variant: every closed state reachable from the empty one.
 
     A pick's closure is the closure of its whole minimal open, so those
     states are unions of at most |minimal opens| closures.  Raises TooLarge
@@ -152,19 +147,19 @@ def solve_game(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED
     most = len(minimal_opens(space))
     if 1 << most > STATES_CAP:
         raise TooLarge(f"a full solve may visit 2^{most} states, over the cap of {STATES_CAP}")
-    table = StrategyTable(space, variant)
+    table = StrategyTable(space)
     table(0)
     if INFINITE in table.value.values():
         raise InvariantViolation("a reachable state has no finite value")
     return table
 
 
-def solved_gd(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED) -> int:
-    """``solve_game(space, variant).gd``, solved once per space and variant.
+def solved_gd(space: FiniteSpace) -> int:
+    """``solve_game(space).gd``, solved once per space, for every variant.
 
     Only the integer is kept on the space; the table is dropped.
     """
-    return space.memo(("gd", variant), lambda: solve_game(space, variant).gd)
+    return space.memo("gd", lambda: solve_game(space).gd)
 
 
 def exact_force_set(space: FiniteSpace) -> frozenset[int]:
@@ -364,9 +359,9 @@ def stalling_picker(space: FiniteSpace):
     return pick
 
 
-def value_function(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED) -> StrategyTable:
+def value_function(space: FiniteSpace) -> StrategyTable:
     """Memoized optimal remaining length, defined at every closed state."""
-    return StrategyTable(space, variant)
+    return StrategyTable(space)
 
 
 def table_picker(table: StrategyTable):
@@ -379,6 +374,6 @@ def table_picker(table: StrategyTable):
     return pick
 
 
-def optimal_picker(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED):
+def optimal_picker(space: FiniteSpace):
     """Picker that maximizes the remaining optimal length."""
-    return table_picker(value_function(space, variant))
+    return table_picker(value_function(space))

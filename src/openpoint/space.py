@@ -161,7 +161,7 @@ class FiniteSpace:
         return got
 
     def closure_of(self, mask: int) -> int:
-        """Additive closure via cached point closures (hot-path variant)."""
+        """Closure of ``mask`` as the union of its points' cached closures."""
         pts = self.point_closures()
         out = 0
         for x in bits(mask):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .game import GameVariant, InvariantViolation, evaluate_chooser, value_function
+from .game import InvariantViolation, evaluate_chooser, value_function
 from .products import ProductSpace, product
 from .space import FiniteSpace, TopologyError, minimal_opens
 
@@ -101,9 +101,9 @@ def table_chooser(table):
     return choose
 
 
-def optimal_chooser(space: FiniteSpace, variant: GameVariant = GameVariant.RESTRICTED):
+def optimal_chooser(space: FiniteSpace):
     """Best-move policy defined at every closed state."""
-    return table_chooser(value_function(space, variant))
+    return table_chooser(value_function(space))
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +345,11 @@ def aggregate_chooser(spaces, prod: ProductSpace | None = None) -> AggregateChoo
     return AggregateChooser(spaces, prod)
 
 
-def aggregate_worst(prod: ProductSpace,
-                    variant: GameVariant = GameVariant.RESTRICTED) -> int:
-    """Worst case of the aggregate chooser on ``prod``, once per product and variant.
+def aggregate_worst(prod: ProductSpace) -> int:
+    """Worst case of the aggregate chooser on ``prod``, once per product.
 
-    ``evaluate_chooser`` of ``aggregate_chooser(prod.factors)``; only the
-    integer is kept on the product space, as ``solved_gd`` does.
+    ``evaluate_chooser`` of ``aggregate_chooser(prod.factors)``, restricted;
+    only the integer is kept on the product space, as ``solved_gd`` does.
     """
-    return prod.space.memo(("aggregate_worst", variant), lambda: evaluate_chooser(
-        prod.space, aggregate_chooser(prod.factors, prod=prod), variant))
+    return prod.space.memo("aggregate_worst", lambda: evaluate_chooser(
+        prod.space, aggregate_chooser(prod.factors, prod=prod)))

@@ -1,0 +1,63 @@
+"""Reference game values: plain minimax under each variant's rules of play.
+
+``oracle_values`` answers what ``game.StrategyTable`` answers without its
+pruning or the minimal-open closure lemma: the chooser may offer every
+non-empty open the variant allows, and the picker may answer with every
+point of the offer or, in the multi-point variant, every non-empty subset,
+each closed point by point.  It costs far more than the solver, so it is
+kept for the tests only.
+"""
+
+import math
+
+from openpoint.game import GameVariant
+
+
+def _points(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _replies(offer, multi):
+    pts = _points(offer)
+    if not multi:
+        return [1 << p for p in pts]
+    return [sum(1 << p for i, p in enumerate(pts) if code >> i & 1)
+            for code in range(1, 1 << len(pts))]
+
+
+def oracle_values(space, variant=GameVariant.RESTRICTED):
+    """Optimal remaining length of every state reached from the empty one.
+
+    Restricted offers avoid the closure; free and multi-point offers are
+    every non-empty open.  A reply that leaves the closure unchanged stalls:
+    the picker can repeat it forever, so it is worth ``math.inf``.
+    """
+    clpt = space.point_closures()
+    free = variant is not GameVariant.RESTRICTED
+    multi = variant is GameVariant.MULTI_POINT
+    offers = [u for u in space.opens if u]
+    memo = {space.full: 0}
+
+    def close(picks):
+        out = 0
+        for x in _points(picks):
+            out |= clpt[x]
+        return out
+
+    def visit(closed):
+        if closed in memo:
+            return memo[closed]
+        best = math.inf
+        for u in offers:
+            if u & closed and not free:
+                continue
+            branch = 0
+            for picks in _replies(u, multi):
+                nxt = closed | close(picks)
+                branch = max(branch, math.inf if nxt == closed else visit(nxt))
+            best = min(best, 1 + branch)
+        memo[closed] = best
+        return best
+
+    visit(0)
+    return memo

@@ -8,12 +8,14 @@ from openpoint.enumeration import (
     _check_dense_lower_bound,
     _check_exact_force,
     _check_oracles,
+    _check_variants,
     _shortest_play,
     canonical_form,
     enumerate_labeled,
     enumerate_unlabeled,
     verify_suite,
 )
+from openpoint.game import GameVariant
 from openpoint.space import TooLarge, bits, is_dense, space_from_masks
 from openpoint.strategies import dense_point_picker
 
@@ -146,6 +148,29 @@ class TestSuite:
     def test_variant_check_two_point_spaces(self):
         ok, records = verify_suite(2, checks="variants")
         assert ok and len(records) == 4
+
+    def test_variant_check_reads_the_solved_gd(self, monkeypatch):
+        import openpoint.game as game
+
+        space = make_two_sierpinski()
+        assert enumeration.solved_gd(space) == 2
+
+        def unsolvable(space):
+            raise AssertionError("the variants check solved a second game")
+
+        monkeypatch.setattr(game, "solve_game", unsolvable)
+        assert _check_variants(space) == {"_note": {"multi_equals_free": True}}
+
+    def test_variant_check_fails_when_multi_point_play_exceeds_gd(self, monkeypatch):
+        walked = []
+
+        def too_long(space, policy, variant):
+            walked.append(variant)
+            return 3
+
+        monkeypatch.setattr(enumeration, "evaluate_chooser", too_long)
+        assert _check_variants(make_two_sierpinski()) == {"gd": 2, "multi": 3}
+        assert walked == [GameVariant.MULTI_POINT]
 
     def test_monotonicity_checks_whole_corpus(self):
         for n, count in [(1, 1), (2, 4), (3, 29), (4, 355)]:

@@ -24,6 +24,7 @@ from openpoint.products import product
 from openpoint.space import FiniteSpace, TooLarge, minimal_opens, validate_topology
 
 from .conftest import make_chain, make_cli_class_factors, make_discrete, make_indiscrete
+from .game_oracle import oracle_values
 from .util import spaces
 
 ALL_VARIANTS = list(GameVariant)
@@ -31,17 +32,22 @@ ALL_VARIANTS = list(GameVariant)
 
 class TestSolve:
     def test_sierpinski_restricted(self, sierpinski):
-        table = solve_game(sierpinski, GameVariant.RESTRICTED)
+        table = solve_game(sierpinski)
         assert table.gd == 1
         assert table.best_move[0] == 0b10  # open point {b}
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_discrete_needs_every_point(self, n, variant):
-        assert solve_game(make_discrete(n), variant).gd == n
+        space = make_discrete(n)
+        table = solve_game(space)
+        assert table.gd == n
+        # the table's moves are legal, and keep their value, under each variant's rules
+        policy = lambda closed, stage: table.best_move[closed]
+        assert evaluate_chooser(space, policy, variant) == n
 
     def test_two_sierpinski(self, two_sierpinski):
-        assert solve_game(two_sierpinski, GameVariant.RESTRICTED).gd == 2
+        assert solve_game(two_sierpinski).gd == 2
 
     def test_indiscrete(self):
         assert solve_game(make_indiscrete(3)).gd == 1
@@ -54,8 +60,8 @@ class TestSolve:
     @settings(max_examples=60)
     def test_value_matches_unpruned_minimax(self, space):
         # oracle recursion over ALL legal opens, no minimal-move pruning
-        table = solve_game(space, GameVariant.RESTRICTED)
-        oracle = _full_minimax(space)
+        table = solve_game(space)
+        oracle = oracle_values(space)
         for closed, val in table.value.items():
             assert val == oracle[closed]
 
@@ -72,48 +78,25 @@ class TestSolve:
     @given(spaces(max_points=4))
     @settings(max_examples=40)
     def test_variant_equivalences(self, space):
-        gd_r = solve_game(space, GameVariant.RESTRICTED).gd
-        gd_f = solve_game(space, GameVariant.FREE).gd
-        gd_m = solve_game(space, GameVariant.MULTI_POINT).gd
-        assert gd_r == gd_f
-        assert gd_m <= gd_f
+        # the table that matches the restricted oracle above also holds the
+        # free values, where offers may meet the closure and a covered pick stalls
+        table = solve_game(space)
+        free = oracle_values(space, GameVariant.FREE)
+        for closed, val in table.value.items():
+            assert val == free[closed], closed
 
-    @given(spaces(max_points=3))
+    @given(spaces(max_points=4))
     @settings(max_examples=40)
     def test_multi_point_matches_unpruned_oracle(self, space):
-        # oracle over ALL legal opens and ALL non-empty reply subsets
-        clpt = space.point_closures()
-        memo = {space.full: 0}
-
-        def close_of(mask):
-            out = 0
-            for x in _points(mask):
-                out |= clpt[x]
-            return out
-
-        def visit(closed):
-            if closed in memo:
-                return memo[closed]
-            best = math.inf
-            for u in space.opens:
-                if not u:
-                    continue
-                if u & closed:
-                    continue  # a reply inside the closure stalls forever
-                subsets = []
-                pts = _points(u)
-                for code in range(1, 1 << len(pts)):
-                    subsets.append(sum(1 << p for i, p in enumerate(pts) if code >> i & 1))
-                branch = max(visit(closed | close_of(s)) for s in subsets)
-                best = min(best, 1 + branch)
-            memo[closed] = best
-            return best
-
-        assert solve_game(space, GameVariant.MULTI_POINT).gd == visit(0)
+        # oracle over ALL non-empty opens and ALL non-empty reply subsets
+        table = solve_game(space)
+        oracle = oracle_values(space, GameVariant.MULTI_POINT)
+        for closed, val in table.value.items():
+            assert val == oracle[closed], closed
 
     def test_multi_point_branches_on_distinct_next_states(self):
         # every pick from the one open closes the space: no reply subsets
-        assert solve_game(make_indiscrete(13), GameVariant.MULTI_POINT).gd == 1
+        assert solve_game(make_indiscrete(13)).gd == 1
 
     def test_multi_point_reply_cap(self):
         # a policy observes the picks, so evaluation enumerates reply subsets
@@ -129,24 +112,6 @@ class TestSolve:
 
 def _points(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _full_minimax(space):
-    clpt = space.point_closures()
-    memo = {space.full: 0}
-
-    def visit(closed):
-        if closed in memo:
-            return memo[closed]
-        best = math.inf
-        for u in space.opens:
-            if u and not u & closed:
-                best = min(best, 1 + max(visit(closed | clpt[x]) for x in _points(u)))
-        memo[closed] = best
-        return best
-
-    visit(0)
-    return memo
 
 
 def _reference_solve(space, variant):
@@ -193,8 +158,14 @@ def _reference_solve(space, variant):
     return value, best
 
 
+class TestOracle:
+    def test_a_free_offer_inside_the_closure_is_a_stall(self):
+        # re-picking a covered point never ends the game, so such offers never help
+        assert oracle_values(make_discrete(3), GameVariant.FREE)[0] == 3
+
+
 class TestReferenceSolver:
-    """The table's values and best moves equal the reference solver's, in every variant.
+    """The one table's values and best moves equal the reference solver's in every variant.
 
     The reference walks every point of an offer and every multi-point
     reply state, so this also checks that one closure per minimal open
@@ -203,8 +174,8 @@ class TestReferenceSolver:
 
     @staticmethod
     def _assert_same(space):
+        table = solve_game(space)
         for variant in ALL_VARIANTS:
-            table = solve_game(space, variant)
             assert (table.value, table.best_move) == _reference_solve(space, variant)
 
     def test_every_labeled_space_up_to_four_points(self, labeled_corpus):
@@ -250,12 +221,11 @@ class TestReplyList:
         monkeypatch.setattr(FiniteSpace, "point_closures", counted_clpt)
         return got
 
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_built_once_per_table(self, reads, variant):
+    def test_built_once_per_table(self, reads):
         space = product(list(make_cli_class_factors())).space
         clpt = space.point_closures()
         reads.clear()
-        table = value_function(space, variant)
+        table = value_function(space)
         table(0)
         # next states off the reachable set are solved by later calls
         for closed in list(table.value):
@@ -272,27 +242,24 @@ class TestReplyList:
 
 
 class TestSolvedGd:
-    def test_solved_once_per_variant(self, monkeypatch):
+    def test_solved_once_per_space(self, monkeypatch):
         import openpoint.game as game
 
         calls = []
-        fake = {v: 10 + i for i, v in enumerate(ALL_VARIANTS)}
 
-        def counting(space, variant=GameVariant.RESTRICTED):
-            calls.append(variant)
-            return SimpleNamespace(gd=fake[variant])
+        def counting(space):
+            calls.append(space)
+            return SimpleNamespace(gd=10 + len(calls))
 
         monkeypatch.setattr(game, "solve_game", counting)
-        space = make_discrete(2)
+        space, other = make_discrete(2), make_discrete(3)
         for _ in range(2):
-            assert [solved_gd(space, v) for v in ALL_VARIANTS] == list(fake.values())
-        assert solved_gd(space) == fake[GameVariant.RESTRICTED]
-        assert calls == ALL_VARIANTS
+            assert (solved_gd(space), solved_gd(other)) == (11, 12)
+        assert calls == [space, other]
 
     def test_matches_the_solver(self, labeled_corpus):
         for space in labeled_corpus[3]:
-            for variant in ALL_VARIANTS:
-                assert solved_gd(space, variant) == solve_game(space, variant).gd
+            assert solved_gd(space) == solve_game(space).gd
 
 
 class TestExactForce:

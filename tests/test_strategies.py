@@ -88,11 +88,11 @@ class TestPiBaseChooser:
         worst = evaluate_chooser(two_sierpinski, pi_base_chooser(two_sierpinski, base))
         assert worst <= len(base)
 
-    @given(spaces(max_points=4), st.sampled_from(list(GameVariant)))
+    @given(spaces(max_points=4))
     @settings(max_examples=60)
-    def test_plays_the_solver_best_move_at_every_closed_state(self, space, variant):
+    def test_plays_the_solver_best_move_at_every_closed_state(self, space):
         # the game table the product strategies no longer build, as the oracle
-        table = StrategyTable(space, variant)
+        table = StrategyTable(space)
         choose = pi_base_chooser(space)
         for u in space.opens:
             closed = space.full & ~u
@@ -177,11 +177,11 @@ class TestTableChooser:
         assert 0b01 not in table.value
         assert table_chooser(table)(0b01, 0) == 0b10
 
-    @given(spaces(max_points=4), st.sampled_from(list(GameVariant)))
+    @given(spaces(max_points=4))
     @settings(max_examples=60)
-    def test_choosers_play_the_table_move(self, space, variant):
-        table = solve_game(space, variant)
-        optimal, from_table = optimal_chooser(space, variant), table_chooser(table)
+    def test_choosers_play_the_table_move(self, space):
+        table = solve_game(space)
+        optimal, from_table = optimal_chooser(space), table_chooser(table)
         for closed, move in list(table.best_move.items()):
             assert optimal(closed, 0) == from_table(closed, 0) == move
 
@@ -309,15 +309,13 @@ class TestAggregateChooser:
         evaluate_chooser(agg.prod.space, agg, variant)
         assert planned and len(planned) == len(set(planned)) == len(agg.plans)
 
-    @pytest.mark.parametrize("variant", list(GameVariant))
-    def test_aggregate_worst_is_evaluated_once_per_product_and_variant(self, monkeypatch,
-                                                                      variant):
+    def test_aggregate_worst_is_evaluated_once_per_product(self, monkeypatch):
         import openpoint.strategies as strategies
 
         x, y = make_discrete(2), make_sierpinski()
         prod = product([x, y])
         agg = aggregate_chooser([x, y], prod=prod)
-        want = evaluate_chooser(prod.space, agg, variant)
+        want = evaluate_chooser(prod.space, agg)
         calls = []
 
         def counted(*args):
@@ -325,8 +323,8 @@ class TestAggregateChooser:
             return evaluate_chooser(*args)
 
         monkeypatch.setattr(strategies, "evaluate_chooser", counted)
-        assert aggregate_worst(prod, variant) == want
-        assert aggregate_worst(prod, variant) == want
+        assert aggregate_worst(prod) == want
+        assert aggregate_worst(prod) == want
         assert len(calls) == 1
 
 
