@@ -221,9 +221,13 @@ class TestReplyList:
         monkeypatch.setattr(FiniteSpace, "point_closures", counted_clpt)
         return got
 
-    def test_built_once_per_table(self, reads):
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_built_once_per_table(self, reads, variant):
+        # the one table serves every variant: its values agree with the
+        # variant's reference, and its setup reads happen once
         space = product(list(make_cli_class_factors())).space
         clpt = space.point_closures()
+        ref_value, _ = _reference_solve(space, variant)
         reads.clear()
         table = value_function(space)
         table(0)
@@ -233,6 +237,7 @@ class TestReplyList:
                 table(closed | c)
         assert len(table.value) > 1 << len(minimal_opens(space))
         assert sorted(reads) == ["minimal_opens", "point_closures"]
+        assert all(table.value[s] == v for s, v in ref_value.items())
 
     def test_exact_force_reads_once(self, reads):
         space = product(list(make_cli_class_factors())).space
