@@ -2,23 +2,25 @@
 
 Every invariant comes in two routes: a fast structural formula and a
 brute-force oracle that knows nothing about the formula.  The game
-solver (``game.solved_gd``) is the oracle for gd.  The test suite
-equates the two on exhaustively enumerated corpora; nothing in this module
-assumes the inequality chain it is used to verify.
+solver (``game.solved_gd``) is the oracle for gd.  The oracles for pi and
+w are exact least-cover searches over the open lattice, and the oracle for
+delta sweeps the dense subsets through ``closures``; none of them reads
+the minimal opens.  The test suite equates the two routes on exhaustively
+enumerated corpora; nothing in this module assumes the inequality chain it
+is used to verify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .space import (
     FiniteSpace,
+    bits,
     closure,
     closures,
     minimal_opens,
     popcount,
-    subspace,
 )
 
 
@@ -48,18 +50,48 @@ def pi_weight(space: FiniteSpace) -> int:
     return len(minimal_opens(space))
 
 
-def _is_pi_base(opens, family) -> bool:
-    """Whether every one of the non-empty ``opens`` contains a member of ``family``."""
-    return all(any(u & b == b for b in family) for u in opens)
+def _least_cover(cands, need: int) -> int:
+    """Fewest of the masks ``cands`` whose union holds every bit of ``need``.
+
+    Each bit of ``need`` is a requirement and each candidate is the mask of
+    the requirements it meets.  The search deepens k = 0, 1, 2, ... and,
+    at each node, branches on the uncovered requirement met by the fewest
+    candidates, trying each of them (Knuth, "Dancing links", 2000); the
+    first k at which some branch covers ``need`` is the least.  A
+    requirement that one candidate alone meets is thus found by counting,
+    never given.
+    """
+    holders: dict[int, list[int]] = {}
+    for cand in cands:
+        for r in bits(cand & need):
+            holders.setdefault(r, []).append(cand)
+    if any(r not in holders for r in bits(need)):
+        raise AssertionError("the candidates together leave a requirement unmet")
+    fewest_first = sorted(holders, key=lambda r: len(holders[r]))
+
+    def covered(left: int, k: int) -> bool:
+        if not left:
+            return True
+        if not k:
+            return False
+        r = next(r for r in fewest_first if left >> r & 1)
+        return any(covered(left & ~cand, k - 1) for cand in holders[r])
+
+    k = 0
+    while not covered(need, k):
+        k += 1
+    return k
 
 
 def pi_weight_brute(space: FiniteSpace) -> int:
+    """Least size of a family of non-empty opens with a member inside every non-empty open.
+
+    One requirement per non-empty open U; a member B meets it when B is
+    inside U.  ``_least_cover`` finds the fewest members.
+    """
     opens = [u for u in space.opens if u]
-    for k in range(1, len(opens) + 1):
-        for family in combinations(opens, k):
-            if _is_pi_base(opens, family):
-                return k
-    raise AssertionError("the family of all non-empty opens is a pi-base")
+    cands = [sum(1 << i for i, u in enumerate(opens) if u & b == b) for b in opens]
+    return _least_cover(cands, (1 << len(opens)) - 1)
 
 
 def weight(space: FiniteSpace) -> int:
@@ -67,25 +99,18 @@ def weight(space: FiniteSpace) -> int:
     return len(set(space.nbhds))
 
 
-def _is_base(opens, family) -> bool:
-    """Whether each of the ``opens`` is the union of the members inside it."""
-    for u in opens:
-        cover = 0
-        for b in family:
-            if u & b == b:
-                cover |= b
-        if cover != u:
-            return False
-    return True
-
-
 def weight_brute(space: FiniteSpace) -> int:
+    """Least size of a family of opens of which every open is the union of the members inside it.
+
+    One requirement per pair (x, U) with x in the open U, bit ``i * n + x``
+    for the i-th non-empty open, so the shifted masks summed below are
+    disjoint; a member B meets it when x is in B and B is inside U.
+    ``_least_cover`` finds the fewest members.
+    """
     opens = [u for u in space.opens if u]
-    for k in range(1, len(opens) + 1):
-        for family in combinations(opens, k):
-            if _is_base(opens, family):
-                return k
-    raise AssertionError("the family of all non-empty opens is a base")
+    n = space.n
+    cands = [sum(b << i * n for i, u in enumerate(opens) if u & b == b) for b in opens]
+    return _least_cover(cands, sum(u << i * n for i, u in enumerate(opens)))
 
 
 def delta(space: FiniteSpace) -> int:
@@ -99,12 +124,22 @@ def delta(space: FiniteSpace) -> int:
 
 
 def delta_oracle(space: FiniteSpace) -> int:
-    """Unpruned route: build every dense subspace and brute-force d there."""
-    best = 0
+    """The largest density of a dense subset A, with no subspace built.
+
+    The closure of Z inside A is cl(Z) & A, so the density of A is the
+    least |Z| with Z inside A and A inside cl(Z); both are read from
+    ``closures``.
+    """
     cls = closures(space)
+    by_size = _subsets_by_size(space.full)
+    best = 0
     for a in range(1, space.full + 1):
-        if cls[a] == space.full:
-            best = max(best, density_brute(subspace(space, a)))
+        if cls[a] != space.full:
+            continue
+        for z in by_size:
+            if z & a == z and cls[z] & a == a:
+                best = max(best, popcount(z))
+                break
     return best
 
 

@@ -6,8 +6,8 @@ Points are indices 0..n-1; a set of points is one int whose bit i means
 A space stores the minimal neighbourhood N(x) of every point, and nothing
 else describes its topology: the opens are exactly the unions of the N(x)
 (Alexandroff, "Diskrete Räume", 1937).  Space equality compares the rows.
-Point closures, ``is_open``, ``interior`` and ``minimal_opens`` derive from
-them.  A product's rows grow with its points, its open lattice grows
+Point closures, ``is_open``, ``interior``, ``minimal_opens`` and
+``subspace`` derive from them.  A product's rows grow with its points, its open lattice grows
 exponentially; so ``opens`` is the family validated by ``space_from_masks``
 or, for a space built from rows, the up-sets enumerated on first access
 under ``OPENS_CAP``.  ``closure`` scans that lattice, as the oracle the
@@ -194,7 +194,7 @@ def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int
     """Build a FiniteSpace of at most ``MAX_POINTS`` points from bitmask opens.
 
     Spaces given by their opens come through here: JSON files, enumerated
-    families, subspaces and metric topologies.  A family F holding the
+    families and metric topologies.  A family F holding the
     empty and the full set is closed under union and intersection exactly
     when (a) every minimal neighbourhood N(x), the intersection of the
     members containing x, is in F, and (b) U | N(x) is in F for every U in
@@ -312,13 +312,23 @@ def _compress(mask: int, members: list[int]) -> int:
 
 
 def subspace(space: FiniteSpace, subset: int, name: str | None = None) -> FiniteSpace:
-    """The trace topology on ``subset``, re-indexed to points 0..k-1."""
+    """The subspace topology on ``subset``, re-indexed to points 0..k-1.
+
+    The trace N(x) & subset is the smallest open of the subspace around x,
+    and the traces stay reflexive and transitive, so they are handed to
+    ``from_preorder`` as rows; the subspace's lattice is enumerated only
+    if something reads it.  ``subset`` must be a non-empty set of the
+    space's points: 0 raises EmptySubspace, any other mask outside
+    1..full raises TopologyError.
+    """
     if subset == 0:
         raise EmptySubspace("cannot take the subspace on the empty set")
-    members = sorted(bits(subset))
-    traced = {_compress(u & subset, members) for u in space.opens}
+    if not 0 < subset <= space.full:
+        raise TopologyError(f"subset mask {subset} is not a set of the {space.n} points")
+    members = list(bits(subset))
+    rows = [_compress(space.nbhds[x] & subset, members) for x in members]
     labels = tuple(space.point_labels[i] for i in members)
-    return space_from_masks(name or f"{space.name}|sub", labels, traced)
+    return from_preorder(rows, name or f"{space.name}|sub", labels)
 
 
 def enumerate_upsets(n: int, succ, cap: int | None = None) -> list[int]:

@@ -65,6 +65,15 @@ def labeled_corpus():
 
 
 @pytest.fixture(scope="session")
+def oracle_corpus(labeled_corpus):
+    """Every labeled topology with n <= 4, then every 7th one with n = 5."""
+    from openpoint.enumeration import enumerate_labeled
+
+    small = [s for spaces in labeled_corpus.values() for s in spaces]
+    return small + list(enumerate_labeled(5))[::7]
+
+
+@pytest.fixture(scope="session")
 def unlabeled_corpus():
     from openpoint.enumeration import enumerate_unlabeled
 

@@ -1,9 +1,14 @@
-from hypothesis import given, settings
+from functools import reduce
+from operator import or_
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from openpoint import game, invariants
 from openpoint.game import solved_gd
 from openpoint.invariants import (
     InvariantReport,
+    _least_cover,
     delta,
     delta_oracle,
     density,
@@ -15,9 +20,10 @@ from openpoint.invariants import (
     weight,
     weight_brute,
 )
-from openpoint.space import validate_topology
+from openpoint.space import FiniteSpace, validate_topology
 
 from .conftest import make_chain, make_discrete, make_indiscrete, make_two_sierpinski
+from .invariant_oracle import delta_by_subspaces, least_family, pi_weight_scan, weight_scan
 from .util import spaces
 
 
@@ -32,7 +38,7 @@ class TestDensity:
     def test_two_sierpinski(self, two_sierpinski):
         assert density(two_sierpinski) == 2
 
-    @given(spaces(max_points=4))
+    @given(spaces(max_points=6))
     def test_formula_matches_brute_force(self, space):
         assert density(space) == density_brute(space)
 
@@ -47,7 +53,7 @@ class TestPiWeight:
     def test_discrete_four(self):
         assert pi_weight(make_discrete(4)) == 4
 
-    @given(spaces(max_points=4))
+    @given(spaces(max_points=6))
     def test_formula_matches_brute_force(self, space):
         assert pi_weight(space) == pi_weight_brute(space)
 
@@ -66,7 +72,7 @@ class TestWeight:
     def test_sierpinski_witnesses_pi_below_w(self, sierpinski):
         assert pi_weight(sierpinski) < weight(sierpinski)
 
-    @given(spaces(max_points=4))
+    @given(spaces(max_points=6))
     def test_formula_matches_brute_force(self, space):
         assert weight(space) == weight_brute(space)
 
@@ -81,9 +87,63 @@ class TestDelta:
     def test_discrete(self):
         assert delta(make_discrete(3)) == 3
 
-    @given(spaces(max_points=4))
+    @given(spaces(max_points=6))
     def test_pruned_matches_subspace_oracle(self, space):
         assert delta(space) == delta_oracle(space)
+
+    def test_oracle_builds_no_subspace(self, monkeypatch):
+        space = make_two_sierpinski()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("delta_oracle must not build a space")
+
+        monkeypatch.setattr(FiniteSpace, "__init__", boom)
+        assert delta_oracle(space) == 2
+
+
+class TestLeastCover:
+    def test_no_requirement_has_one_candidate(self):
+        # every requirement has two or three candidates, so the search
+        # branches and backs out of the first branch that fails
+        assert _least_cover([0b000111, 0b011001, 0b100110, 0b111000, 0b000011], 0b111111) == 2
+
+    def test_nothing_to_cover(self):
+        assert _least_cover([0b1], 0) == 0
+
+    def test_an_unmet_requirement_raises(self):
+        with pytest.raises(AssertionError):
+            _least_cover([0b01, 0b01], 0b11)
+
+    @given(st.lists(st.integers(min_value=0, max_value=63), max_size=7),
+           st.integers(min_value=1, max_value=63))
+    def test_matches_the_family_scan(self, cands, need):
+        def covers(family):
+            return reduce(or_, family) & need == need
+
+        try:
+            least = least_family(cands, covers)
+        except AssertionError:
+            with pytest.raises(AssertionError):
+                _least_cover(cands, need)
+        else:
+            assert _least_cover(cands, need) == least
+
+
+class TestAgainstScans:
+    """The cover searches and the closure sweep against the plain scans they replaced."""
+
+    def test_pi_and_w(self, oracle_corpus):
+        for space in oracle_corpus:
+            assert pi_weight_brute(space) == pi_weight_scan(space), space
+            assert weight_brute(space) == weight_scan(space), space
+
+    def test_delta(self, oracle_corpus):
+        for space in oracle_corpus:
+            assert delta_oracle(space) == delta_by_subspaces(space), space
+
+    def test_discrete_six(self):
+        space = make_discrete(6)
+        assert pi_weight_brute(space) == weight_brute(space) == 6
 
 
 class TestTightness:

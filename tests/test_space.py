@@ -30,6 +30,7 @@ from openpoint.space import (
 )
 
 from .conftest import make_chain, make_discrete, make_indiscrete, make_two_sierpinski
+from .invariant_oracle import subspace_trace
 from .util import close_family, space_and_subset, spaces
 
 
@@ -200,6 +201,28 @@ class TestSubspace:
     def test_empty_rejected(self, sierpinski):
         with pytest.raises(EmptySubspace):
             subspace(sierpinski, 0)
+
+    def test_negative_mask_rejected(self, sierpinski):
+        with pytest.raises(TopologyError, match="mask -1 ") as info:
+            subspace(sierpinski, -1)
+        assert not isinstance(info.value, EmptySubspace)
+
+    def test_mask_past_the_points_rejected(self, sierpinski):
+        with pytest.raises(TopologyError, match="mask 4 ") as info:
+            subspace(sierpinski, 0b100)
+        assert not isinstance(info.value, EmptySubspace)
+
+    def test_built_from_rows_without_its_lattice(self, two_sierpinski):
+        sub = subspace(two_sierpinski, 0b1110)
+        assert sub.nbhds == (0b001, 0b110, 0b100)
+        assert "opens" not in sub._cache
+
+    def test_matches_the_lattice_trace(self, oracle_corpus):
+        for space in oracle_corpus:
+            for s in range(1, space.full + 1):
+                sub, traced = subspace(space, s), subspace_trace(space, s)
+                assert sub.opens == traced.opens, (space, s)
+                assert sub.point_labels == traced.point_labels, (space, s)
 
 
 class TestMinimalOpens:
