@@ -15,7 +15,7 @@ from itertools import permutations
 from .game import GameVariant, evaluate_chooser, exact_force_set, solve_game, solved_gd
 from .invariants import (
     delta_oracle,
-    density,
+    dense_densities,
     density_brute,
     invariant_report,
     pi_weight,
@@ -309,13 +309,18 @@ def _check_subspace_monotone(space):
 
 
 def _shortest_play(space, picker) -> int:
-    """Fewest stages the picker needs, over every line of offered opens.
+    """Fewest stages the picker needs, over every line of offered minimal opens.
 
-    The picker ignores the stage, so the stages still needed depend only on
-    the closed set, and each closed set is solved once.
+    Offering only minimal opens loses nothing.  If the picker takes x from
+    an open U, N(x) inside U holds a minimal open m', and every y in m' has
+    x in N(y) = m', so x is in cl{y} and cl{x} is inside cl(m'): whatever
+    the picker takes from m' closes at least as much, and a larger closed
+    set never needs more stages.  The picker ignores the stage, so the
+    stages still needed depend only on the closed set, and each closed set
+    is solved once.
     """
     clpt = space.point_closures()
-    offers = [u for u in space.opens if u]
+    offers = minimal_opens(space)
     memo = {space.full: 0}
 
     def shortest(closed):
@@ -333,12 +338,8 @@ def _shortest_play(space, picker) -> int:
 
 
 def _check_dense_lower_bound(space):
-    cls = closures(space)
-    for a in range(1, space.full + 1):
-        if cls[a] != space.full:
-            continue
+    for a, target in dense_densities(space):
         shortest = _shortest_play(space, dense_point_picker(space, a))
-        target = density(subspace(space, a))
         if shortest < target:
             return {"dense_set": a, "shortest": shortest, "target": target}
     return None
@@ -400,8 +401,8 @@ def _check_pair_fan_link(x, y):
     gd_x, gd_y = solved_gd(x), solved_gd(y)
     kappa = max(2, gd_x, gd_y)
     verdict = fan_tightness_check([x, y], kappa, "boxes")
-    if verdict.status is FanStatus.UNKNOWN:
-        return {"fan": "unknown"}
+    if verdict.status is not FanStatus.HOLDS:
+        return {"fan": verdict.status.value}
     # finite form of the main theorem: a positive fan verdict certifies the
     # aggregate strategy's product-of-gd bound (kappa itself only bounds gd
     # transfinitely, where kappa many stages absorb)

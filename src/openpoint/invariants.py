@@ -4,10 +4,10 @@ Every invariant comes in two routes: a fast structural formula and a
 brute-force oracle that knows nothing about the formula.  The game
 solver (``game.solved_gd``) is the oracle for gd.  The oracles for pi and
 w are exact least-cover searches over the open lattice, and the oracle for
-delta sweeps the dense subsets through ``closures``; none of them reads
-the minimal opens.  The test suite equates the two routes on exhaustively
-enumerated corpora; nothing in this module assumes the inequality chain it
-is used to verify.
+delta is the largest of ``dense_densities``, a sweep of the dense subsets
+through ``closures``; none of them reads the minimal opens.  The test
+suite equates the two routes on exhaustively enumerated corpora; nothing
+in this module assumes the inequality chain it is used to verify.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def delta(space: FiniteSpace) -> int:
     return len(minimal_opens(space))
 
 
-def delta_oracle(space: FiniteSpace) -> int:
-    """The largest density of a dense subset A, with no subspace built.
+def dense_densities(space: FiniteSpace):
+    """Yield (A, density of A) for every dense subset A, with no subspace built.
 
     The closure of Z inside A is cl(Z) & A, so the density of A is the
     least |Z| with Z inside A and A inside cl(Z); both are read from
@@ -132,15 +132,14 @@ def delta_oracle(space: FiniteSpace) -> int:
     """
     cls = closures(space)
     by_size = _subsets_by_size(space.full)
-    best = 0
     for a in range(1, space.full + 1):
-        if cls[a] != space.full:
-            continue
-        for z in by_size:
-            if z & a == z and cls[z] & a == a:
-                best = max(best, popcount(z))
-                break
-    return best
+        if cls[a] == space.full:
+            yield a, next(popcount(z) for z in by_size if z & a == z and cls[z] & a == a)
+
+
+def delta_oracle(space: FiniteSpace) -> int:
+    """The largest density of a dense subset, over ``dense_densities``."""
+    return max(d for _, d in dense_densities(space))
 
 
 def tightness(space: FiniteSpace) -> int:

@@ -236,7 +236,11 @@ class AggregateChooser:
     and a set is dense exactly when it meets every minimal open.  So the
     projection to an index set is dense exactly when the picks meet every
     cylinder over such a box (the box on the indexed axes, the whole factor
-    elsewhere); no subproduct is built.
+    elsewhere); no subproduct is built.  A minimal open m meets cl(P)
+    exactly when P meets m, so the minimal pi-base move on axis g, the
+    first minimal open avoiding the closure of the projected picks, is the
+    first cylinder of (g,) the picks miss, and the axis is finished when
+    there is none; no factor closure is taken.
     """
 
     def __init__(self, spaces, prod: ProductSpace | None = None):
@@ -244,7 +248,6 @@ class AggregateChooser:
         k = len(self.spaces)
         if k < 1:
             raise ValueError("need at least one space")
-        self.subs = [pi_base_chooser(s) for s in self.spaces]
         self.prod = prod or product(self.spaces)
         self.gammas = [
             tuple(i for i in range(k) if g >> i & 1) for g in range(1, 1 << k)
@@ -292,24 +295,17 @@ class AggregateChooser:
         else:
             raise InvariantViolation("asked for a move after every phase target was met")
         gamma = self.gammas[phase]
-        closeds = {g: self.spaces[g].closure_of(self.prod.proj_mask(picks, g)) for g in gamma}
-        active = tuple(g for g in gamma if closeds[g] != self.spaces[g].full)
-        parts = [None] * len(self.spaces)
+        parts = [mins[0] for mins in self.fmins]
+        moves = {g: self._first_missed((g,), picks) for g in gamma}
+        active = [g for g in gamma if moves[g] is not None]
         if active:
             beta, eta = len(gamma) - len(active), 0
-            for g in range(len(self.spaces)):
-                if g in active:
-                    parts[g] = self.subs[g](closeds[g], len(state.ledger))
-                else:
-                    parts[g] = self.fmins[g][0]
+            for g in active:
+                parts[g] = self.fmins[g][moves[g]]
         else:
             beta, eta = len(gamma), missed + 1
-            combo = self.pools[gamma][missed][0]
-            for pos, g in enumerate(gamma):
-                parts[g] = combo[pos]
-            for g in range(len(self.spaces)):
-                if parts[g] is None:
-                    parts[g] = self.fmins[g][0]
+            for g, m in zip(gamma, self.pools[gamma][missed][0]):
+                parts[g] = m
         move = self.prod.box_mask(parts)
         return Plan(phase, move, beta, eta)
 

@@ -208,7 +208,7 @@ def test_criterion_7_product_theorems(corpus3):
         # the finite form of the theorem is the aggregate bound above
         kappa = max(2, gd_x, gd_y)
         verdict = fan_tightness_check([x, y], kappa, "boxes")
-        if verdict.status is not FanStatus.UNKNOWN:
+        if verdict.status is FanStatus.HOLDS:
             fan_holds += 1
             assert agg_worst <= gd_x * gd_y
         pairs += 1

@@ -181,6 +181,18 @@ class TestPlay:
         keys = [(e["alpha"], e["beta"], e["eta"], e["epsilon"]) for e in entries]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("chooser, files, message", [
+        ("product", 1, "--pI product needs at least two space files"),
+        ("aggregate", 1, "--pI aggregate needs at least two space files"),
+        ("product", 3, "--pI product wants exactly two space files"),
+    ])
+    def test_product_choosers_want_their_factor_count(self, sierpinski_file, chooser,
+                                                      files, message):
+        code, out, err = invoke(
+            ["play", *[sierpinski_file] * files, "--pI", chooser, "--pII", "first"])
+        assert code == 1 and not out
+        assert err == f"error: {message}\n"
+
     def test_unwritable_ledger_fails_before_any_stage(self, tmp_path, sierpinski_file,
                                                       discrete2_file):
         ledger_path = tmp_path / "missing-dir" / "ledger.ndjson"

@@ -1,12 +1,17 @@
+from dataclasses import replace
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from openpoint import enumeration
 from openpoint.enumeration import (
+    PAIR_CHECKS,
+    SPACE_CHECKS,
     _check_dense_lower_bound,
     _check_exact_force,
+    _check_metric,
     _check_oracles,
     _check_variants,
     _shortest_play,
@@ -16,10 +21,11 @@ from openpoint.enumeration import (
     verify_suite,
 )
 from openpoint.game import GameVariant
+from openpoint.products import FanStatus
 from openpoint.space import TooLarge, bits, is_dense, space_from_masks
 from openpoint.strategies import dense_point_picker
 
-from .conftest import make_indiscrete, make_two_sierpinski
+from .conftest import make_discrete, make_indiscrete, make_sierpinski, make_two_sierpinski
 from .util import spaces
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -57,6 +63,70 @@ def brute_shortest_play(space, picker):
 
     walk(0, 0, 0)
     return min(lengths)
+
+
+# One broken route per check: (check, the name it reads on ``enumeration``,
+# the break, given the real route, and the failure payload).  Space checks
+# run on ``make_two_sierpinski()``: points a, b, c, d as bits 0-3, minimal
+# opens {b} and {d}, gd 2.  Pair checks run on D2 x S, gd 2 * 1.
+BROKEN_ROUTES = [
+    ("kuratowski", "closures",  # cl{a, c} = everything: not additive
+     lambda real: lambda space: tuple(space.full if s == 0b0101 else c
+                                      for s, c in enumerate(real(space))),
+     {"subset": 0b0001, "other": 0b0100}),
+    ("roundtrip", "from_preorder",  # every row the whole space
+     lambda real: lambda rows: real([(1 << len(rows)) - 1] * len(rows)),
+     {"rebuilt_opens": [0, 0b1111]}),
+    ("minimal-opens", "minimal_opens",  # {b} dropped
+     lambda real: lambda space: real(space)[1:],
+     {"uncovered_open": 0b0010}),
+    ("chain", "invariant_report",
+     lambda real: lambda space: replace(real(space), d=3),
+     {"space": "two_sierpinski", "n": 4, "d": 3, "delta": 2, "gd": 2, "pi": 2, "w": 4, "t": 1}),
+    ("collapse", "density_brute",
+     lambda real: lambda space: real(space) + 1,
+     {"space": "two_sierpinski", "n": 4, "d": 3, "delta": 2, "gd": 2, "pi": 2, "w": 4, "t": 1}),
+    ("pi-base-bound", "evaluate_chooser",
+     lambda real: lambda space, policy: real(space, policy) + 1,
+     {"worst": 3, "pi": 2}),
+    ("value-monotone", "solve_game",  # the empty state claims the game is over
+     lambda real: lambda space: SimpleNamespace(value={**real(space).value, 0: 0}),
+     {"larger": 0b0011, "smaller": 0}),
+    ("subspace-monotone", "subspace",  # a subspace with more minimal opens
+     lambda real: lambda space, s: make_discrete(space.n + 1),
+     {"subset": 0b0010, "sub_gd": 5, "gd": 2}),
+    ("dense-lower-bound", "dense_densities",
+     lambda real: lambda space: ((a, d + 1) for a, d in real(space)),
+     {"dense_set": 0b1010, "shortest": 2, "target": 3}),
+    ("product-pi", "minimal_opens_via_preorder",
+     lambda real: lambda factors: real(factors)[1:],
+     {"minimal": [0b0010, 0b1000], "boxes": [0b0010, 0b1000], "preorder": [0b1000]}),
+    ("product-gd", "product",  # D2 x D2 built in place of D2 x S
+     lambda real: lambda factors: real([factors[0], factors[0]]),
+     {"gd_product": 4, "gd_factors": 2}),
+    ("product-strategies", "evaluate_chooser",
+     lambda real: lambda space, policy: real(space, policy) + 1,
+     {"product_worst": 3}),
+    ("fan-link", "fan_tightness_check",  # the at-most-kappa-factors fallback
+     lambda real: lambda factors, kappa, pool: replace(
+         real(factors, kappa, pool), status=FanStatus.HOLDS_VIA_SUFFICIENT_CONDITION),
+     {"fan": "holds-via-sufficient-condition"}),
+    ("fan-link", "aggregate_worst",
+     lambda real: lambda prod: real(prod) + 1,
+     {"aggregate_worst": 3, "bound": 2}),
+    ("metric", "greedy_run_violations",  # seed 0: the first space has 7 points
+     lambda real: lambda sp: ["planted"],
+     {"space": tuple(f"m{i}" for i in range(7)), "violations": ["planted"]}),
+]
+
+
+def _subject(check):
+    """Fresh arguments for ``check``, so no memo of an earlier run answers it."""
+    if check in SPACE_CHECKS:
+        return (make_two_sierpinski(),)
+    if check in PAIR_CHECKS:
+        return (make_discrete(2), make_sierpinski())
+    return (0,)
 
 
 class TestLabeled:
@@ -200,6 +270,23 @@ class TestSuite:
         monkeypatch.setattr(enumeration, "dense_point_picker", counted)
         assert _check_dense_lower_bound(space) is None
         assert made == list(range(1, space.full + 1))  # every non-empty set is dense
+
+    def test_dense_lower_bound_builds_no_subspace(self, monkeypatch, labeled_corpus):
+        def boom(*args, **kwargs):
+            raise AssertionError("dense-lower-bound built a subspace")
+
+        monkeypatch.setattr(enumeration, "subspace", boom)
+        for spaces_n in labeled_corpus.values():
+            for space in spaces_n:
+                assert _check_dense_lower_bound(space) is None, space.name
+
+    @pytest.mark.parametrize("check, route, breaking, payload", BROKEN_ROUTES,
+                             ids=[f"{c}-{r}" for c, r, _, _ in BROKEN_ROUTES])
+    def test_every_check_can_fail(self, monkeypatch, check, route, breaking, payload):
+        fn = {**SPACE_CHECKS, **PAIR_CHECKS, "metric": _check_metric}[check]
+        assert fn(*_subject(check)) is None
+        monkeypatch.setattr(enumeration, route, breaking(getattr(enumeration, route)))
+        assert fn(*_subject(check)) == payload
 
     def test_one_point_space_all_space_checks(self):
         ok, records = verify_suite(

@@ -11,6 +11,7 @@ from openpoint.invariants import (
     _least_cover,
     delta,
     delta_oracle,
+    dense_densities,
     density,
     density_brute,
     invariant_report,
@@ -20,7 +21,7 @@ from openpoint.invariants import (
     weight,
     weight_brute,
 )
-from openpoint.space import FiniteSpace, validate_topology
+from openpoint.space import FiniteSpace, closures, subspace, validate_topology
 
 from .conftest import make_chain, make_discrete, make_indiscrete, make_two_sierpinski
 from .invariant_oracle import delta_by_subspaces, least_family, pi_weight_scan, weight_scan
@@ -99,6 +100,15 @@ class TestDelta:
 
         monkeypatch.setattr(FiniteSpace, "__init__", boom)
         assert delta_oracle(space) == 2
+
+    def test_dense_densities_match_the_subspaces(self, labeled_corpus):
+        for spaces_n in labeled_corpus.values():
+            for space in spaces_n:
+                cls = closures(space)
+                want = [(a, density(subspace(space, a)))
+                        for a in range(1, space.full + 1) if cls[a] == space.full]
+                assert list(dense_densities(space)) == want, space
+                assert delta_oracle(space) == max(d for _, d in want), space
 
 
 class TestLeastCover:

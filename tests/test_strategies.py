@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from openpoint.strategies import (
     NotDense,
     OrderedPiBase,
     PhaseLedger,
+    Plan,
     aggregate_chooser,
     aggregate_worst,
     dense_point_picker,
@@ -231,6 +234,36 @@ class TestProductChooser:
         assert t.terminal and t.length <= 2
 
 
+def closure_plan(agg, state):
+    """The aggregate plan from factor closures: each active axis plays its pi-base move.
+
+    The reference for ``AggregateChooser._make_plan``, which reads the same
+    moves off its single-axis cylinders.
+    """
+    picks, phase = state.picks, state.phase
+    while phase < len(agg.gammas):
+        missed = agg._first_missed(agg.gammas[phase], picks)
+        if missed is not None:
+            break
+        phase += 1
+    gamma = agg.gammas[phase]
+    closeds = {g: agg.spaces[g].closure_of(agg.prod.proj_mask(picks, g)) for g in gamma}
+    active = [g for g in gamma if closeds[g] != agg.spaces[g].full]
+    parts = [None] * len(agg.spaces)
+    if active:
+        beta, eta = len(gamma) - len(active), 0
+        for g in active:
+            parts[g] = pi_base_chooser(agg.spaces[g])(closeds[g], 0)
+    else:
+        beta, eta = len(gamma), missed + 1
+        for g, m in zip(gamma, agg.pools[gamma][missed][0]):
+            parts[g] = m
+    for g in range(len(agg.spaces)):
+        if parts[g] is None:
+            parts[g] = agg.fmins[g][0]
+    return Plan(phase, agg.prod.box_mask(parts), beta, eta)
+
+
 class TestAggregateChooser:
     def test_two_sierpinski_factors(self):
         s = make_sierpinski()
@@ -293,6 +326,24 @@ class TestAggregateChooser:
                     proj |= 1 << sub.encode(tuple(coords[g] for g in gamma))
                 dense = sub.space.closure_of(proj) == sub.space.full
                 assert (agg._first_missed(gamma, picks) is None) == dense
+
+    def test_plans_match_the_closure_plan(self, labeled_corpus):
+        # every ordered pair of factors with at most 3 points, and every
+        # triple with at most 2, where the eta phase fills a third axis
+        upto3 = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
+        upto2 = [s for n in (1, 2) for s in labeled_corpus[n]]
+        families = [*iter_product(upto3, repeat=2), *iter_product(upto2, repeat=3)]
+        assert len(families) == 1156 + 125
+        filled = 0
+        for factors in families:
+            prod = product(list(factors))
+            for variant in (GameVariant.RESTRICTED, GameVariant.FREE):
+                agg = aggregate_chooser(factors, prod=prod)
+                evaluate_chooser(prod.space, agg, variant)
+                for state, plan in agg.plans.items():
+                    assert plan == closure_plan(agg, state), (prod.space.name, state)
+                    filled += plan.eta > 0 and len(agg.gammas[plan.phase]) < len(factors)
+        assert filled
 
     @pytest.mark.parametrize("variant", list(GameVariant))
     def test_each_state_is_planned_once(self, monkeypatch, variant):
