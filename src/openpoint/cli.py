@@ -260,6 +260,8 @@ def _interactive_picker(space, err, stdin):
 def cmd_play(args, out, err, stdin):
     if args.ledger is not None and args.chooser != "aggregate":
         raise UsageError("--ledger only applies to the aggregate strategy")
+    if args.dense_set is not None and args.picker != "dense":
+        raise UsageError("--dense-set only applies to the dense picker")
     spaces_list = [_read(p, load_space) for p in args.spaces]
     with _output(args.ledger, None) as ledger:
         prod = products.product(spaces_list) if len(spaces_list) > 1 else None

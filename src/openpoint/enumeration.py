@@ -363,8 +363,9 @@ SPACE_CHECKS = {
 
 def _check_pair_product(x, y):
     prod = product([x, y])
-    # from the enumerated lattice: minimal_opens(prod.space) reads the same
-    # rows as the preorder route
+    # three routes: the enumerated lattice, the boxes of factor minimal opens
+    # and the product's rows; minimal_opens(prod.space) is the row route
+    # again, since minimal_opens_via_preorder reads the same rows
     mins = inclusion_minimal(u for u in prod.space.opens if u)
     boxes = minimal_open_boxes(prod)
     via_pre = minimal_opens_via_preorder([x, y])

@@ -39,21 +39,12 @@ class ProductSpace:
     space: FiniteSpace
     sizes: tuple[int, ...]
 
-    def encode(self, coords) -> int:
-        return _encode(self.sizes, coords)
-
     def decode(self, idx: int) -> tuple[int, ...]:
         return _decode(self.sizes, idx)
 
     def box_mask(self, factor_masks) -> int:
         """Product-point mask of the open box with the given factor masks."""
         return _box(self.sizes, factor_masks)
-
-    def proj_mask(self, mask: int, axis: int) -> int:
-        out = 0
-        for idx in bits(mask):
-            out |= 1 << self.decode(idx)[axis]
-        return out
 
 
 def _decode(sizes, idx: int) -> tuple[int, ...]:
@@ -64,52 +55,55 @@ def _decode(sizes, idx: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _encode(sizes, coords) -> int:
-    idx = 0
-    for size, c in zip(sizes, coords):
-        idx = idx * size + c
-    return idx
+def _spread(mask: int, m: int, size: int) -> int:
+    """Add an axis of ``size`` points: each x in ``mask`` becomes x*size + y for y in ``m``."""
+    out = 0
+    for x in bits(mask):
+        out |= m << x * size
+    return out
 
 
 def _box(sizes, factor_masks) -> int:
-    mask = 0
-    choices = [list(bits(m)) for m in factor_masks]
-    for coords in iter_product(*choices):
-        mask |= 1 << _encode(sizes, coords)
+    mask = 1
+    for m, size in zip(factor_masks, sizes):
+        mask = _spread(mask, m, size)
     return mask
 
 
-def _product_succ(factors, sizes) -> tuple[int, ...]:
+def _product_succ(factors) -> tuple[int, ...]:
     """N((x, y, ...)) = N(x) x N(y) x ... for every product point, in index order."""
-    return tuple(
-        _box(sizes, [f.nbhds[c] for f, c in zip(factors, coords)])
-        for coords in iter_product(*map(range, sizes))
-    )
+    rows = [1]
+    for f in factors:
+        rows = [_spread(row, nbhd, f.n) for row in rows for nbhd in f.nbhds]
+    return tuple(rows)
 
 
-def product(factors, name: str | None = None) -> ProductSpace:
+def product(factors) -> ProductSpace:
     """Build the product topology of 1..k finite spaces from their rows.
 
-    The first factor remembers its most recent product of each arity, so
-    repeated calls on the same factors return the same (immutable) object.
-    The key holds every factor's name, labels and N(x) rows, which is all
-    the build reads (equal rows mean equal opens): space equality ignores
-    names and labels, but the product's name and labels come from them.
+    Point (c0, c1, ...) is bit (c0*s1 + c1)*s2 + ... for factor sizes s0, s1, ...:
+    one rule, applied an axis at a time by ``_spread``, lays out the points,
+    the rows and every box.  The first factor remembers its most recent
+    product of each arity, so repeated calls on the same factors return the
+    same (immutable) object.  The key holds every factor's name, labels and
+    N(x) rows, which is all the build reads (equal rows mean equal opens):
+    space equality ignores names and labels, but the product's name and
+    labels come from them.
     """
     factors = tuple(factors)
     if not factors:
         raise ValueError("a product needs at least one factor")
-    key = (name, tuple((f.name, f.point_labels, f.nbhds) for f in factors))
+    key = tuple((f.name, f.point_labels, f.nbhds) for f in factors)
     slot = ("product", len(factors))
     got = factors[0]._cache.get(slot)
     if got is not None and got[0] == key:
         return got[1]
-    prod = _build_product(factors, name)
+    prod = _build_product(factors)
     factors[0]._cache[slot] = (key, prod)
     return prod
 
 
-def _build_product(factors, name):
+def _build_product(factors):
     sizes = tuple(f.n for f in factors)
     total = size_product(sizes)
     if total > POINTS_CAP:
@@ -118,8 +112,7 @@ def _build_product(factors, name):
         "(" + ",".join(f.point_labels[c] for f, c in zip(factors, coords)) + ")"
         for coords in iter_product(*map(range, sizes))
     ]
-    space = from_preorder(_product_succ(factors, sizes), name or "x".join(f.name for f in factors),
-                          labels)
+    space = from_preorder(_product_succ(factors), "x".join(f.name for f in factors), labels)
     return ProductSpace(factors=factors, space=space, sizes=sizes)
 
 
@@ -132,12 +125,11 @@ def minimal_open_boxes(prod: ProductSpace) -> tuple[int, ...]:
 def minimal_opens_via_preorder(factors) -> tuple[int, ...]:
     """Minimal opens of the product computed from its N(x) rows.
 
-    Builds no product space, so it serves as the independent route for
-    large products.
+    Reads the rows of ``product(factors)`` and enumerates no lattice, so it
+    serves as the route for large products; it shares ``POINTS_CAP`` with
+    the product it builds.
     """
-    factors = tuple(factors)
-    sizes = tuple(f.n for f in factors)
-    return inclusion_minimal(_product_succ(factors, sizes))
+    return minimal_opens(product(factors).space)
 
 
 def sufficient_condition_check(factors, kappa: int) -> bool:
@@ -231,12 +223,45 @@ def _point_keys(sub: ProductSpace) -> list[int]:
 
 
 def _fibres(sub: ProductSpace) -> list[int]:
-    """Every fibre: the points of ``sub`` with one given coordinate on one axis."""
-    per_axis = [[0] * size for size in sub.sizes]
-    for idx in range(sub.space.n):
-        for masks, coord in zip(per_axis, sub.decode(idx)):
-            masks[coord] |= 1 << idx
-    return [mask for masks in per_axis for mask in masks]
+    """Every fibre: the box of one coordinate on one axis and the whole factor elsewhere."""
+    fulls = [f.full for f in sub.factors]
+    return [
+        sub.box_mask(fulls[:axis] + [1 << coord] + fulls[axis + 1:])
+        for axis, size in enumerate(sub.sizes)
+        for coord in range(size)
+    ]
+
+
+def _fan_cells(sub: ProductSpace, kappa: int, candidate_policy: str) -> tuple:
+    """(U, its first witness family or None) for every non-empty open U of ``sub``."""
+    opens_nonempty = [u for u in sub.space.opens if u]
+    if (1 << sub.space.n) > SUBSET_LOOP_CAP:
+        return tuple((u, None) for u in opens_nonempty)
+    if candidate_policy == "boxes":
+        pool = list(minimal_open_boxes(sub))
+    else:
+        pool = opens_nonempty
+    fam_size = min(kappa, len(pool))
+    families = list(islice(combinations(pool, fam_size), FAMILY_TRY_CAP))
+    keys = _point_keys(sub)
+    member_closures = {
+        v: _slice_closures(sub.space, keys, v) for fam in families for v in fam
+    }
+    closure_sets = [
+        inclusion_minimal(
+            reduce(or_, combo, 0)
+            for combo in iter_product(*(member_closures[v] for v in fam))
+        )
+        for fam in families
+    ]
+    fibres = _fibres(sub)
+    cells = []
+    for u in opens_nonempty:
+        slices = [u & f for f in fibres if u & f]
+        found = next((fam for fam, dset in zip(families, closure_sets)
+                      if all(any(s & ~d == 0 for s in slices) for d in dset)), None)
+        cells.append((u, found))
+    return tuple(cells)
 
 
 def fan_tightness_check(factors, kappa: int,
@@ -259,8 +284,10 @@ def fan_tightness_check(factors, kappa: int,
     additive, so D runs over the unions of one minimal slice closure per
     member.  A projection of U minus D shrinks exactly when some non-empty
     fibre slice of U (its points with one coordinate on one axis) lies in
-    D.  More than 12 factors are refused before any product is built: with
-    at least two points each they exceed ``POINTS_CAP``.
+    D.  Each subproduct's cells are searched once per kappa and pool and
+    kept in its space's memo.  More than 12 factors are refused before any
+    product is built: with at least two points each they exceed
+    ``POINTS_CAP``.
     """
     factors = tuple(factors)
     if kappa < 1:
@@ -281,36 +308,13 @@ def fan_tightness_check(factors, kappa: int,
     for gamma_bits in range(1, 1 << k):
         gamma = tuple(i for i in range(k) if gamma_bits >> i & 1)
         sub = product([factors[g] for g in gamma])
-        opens_nonempty = [u for u in sub.space.opens if u]
-        if (1 << sub.space.n) > SUBSET_LOOP_CAP:
-            unknown.extend((gamma, u) for u in opens_nonempty)
-            continue
-        if candidate_policy == "boxes":
-            pool = list(minimal_open_boxes(sub))
-        else:
-            pool = opens_nonempty
-        fam_size = min(kappa, len(pool))
-        families = list(islice(combinations(pool, fam_size), FAMILY_TRY_CAP))
-        keys = _point_keys(sub)
-        member_closures = {
-            v: _slice_closures(sub.space, keys, v) for fam in families for v in fam
-        }
-        closure_sets = [
-            inclusion_minimal(
-                reduce(or_, combo, 0)
-                for combo in iter_product(*(member_closures[v] for v in fam))
-            )
-            for fam in families
-        ]
-        fibres = _fibres(sub)
-        for u in opens_nonempty:
-            slices = [u & f for f in fibres if u & f]
-            for fam, dset in zip(families, closure_sets):
-                if all(any(s & ~d == 0 for s in slices) for d in dset):
-                    witness[(gamma, u)] = fam
-                    break
-            else:
+        cells = sub.space.memo(("fan", kappa, candidate_policy),
+                               lambda: _fan_cells(sub, kappa, candidate_policy))
+        for u, fam in cells:
+            if fam is None:
                 unknown.append((gamma, u))
+            else:
+                witness[(gamma, u)] = fam
 
     if not unknown:
         status = FanStatus.HOLDS

@@ -110,7 +110,7 @@ class FiniteSpace:
         """Every open set, increasing; enumerated from the rows on first use if not stored."""
         got = self._cache.get("opens")
         if got is None:
-            got = self._cache["opens"] = tuple(enumerate_upsets(self.n, self.nbhds, cap=OPENS_CAP))
+            got = self._cache["opens"] = tuple(enumerate_upsets(self.n, self.nbhds))
         return got
 
     def memo(self, key, compute):
@@ -311,7 +311,7 @@ def _compress(mask: int, members: list[int]) -> int:
     return out
 
 
-def subspace(space: FiniteSpace, subset: int, name: str | None = None) -> FiniteSpace:
+def subspace(space: FiniteSpace, subset: int) -> FiniteSpace:
     """The subspace topology on ``subset``, re-indexed to points 0..k-1.
 
     The trace N(x) & subset is the smallest open of the subspace around x,
@@ -328,15 +328,15 @@ def subspace(space: FiniteSpace, subset: int, name: str | None = None) -> Finite
     members = list(bits(subset))
     rows = [_compress(space.nbhds[x] & subset, members) for x in members]
     labels = tuple(space.point_labels[i] for i in members)
-    return from_preorder(rows, name or f"{space.name}|sub", labels)
+    return from_preorder(rows, f"{space.name}|sub", labels)
 
 
-def enumerate_upsets(n: int, succ, cap: int | None = None) -> list[int]:
+def enumerate_upsets(n: int, succ) -> list[int]:
     """All sets U with x in U implying succ[x] a subset of U, sorted.
 
     Runs in O(result * n): a depth-first branch on the lowest undecided
     point, forcing successor closure on inclusion and predecessor exclusion
-    on rejection.  Raises TooLarge past ``cap`` results.
+    on rejection.  Raises TooLarge past ``OPENS_CAP`` results.
     """
     pred = [0] * n
     for x in range(n):
@@ -349,8 +349,8 @@ def enumerate_upsets(n: int, succ, cap: int | None = None) -> list[int]:
         include, exclude = stack.pop()
         undecided = full & ~(include | exclude)
         if not undecided:
-            if cap is not None and len(out) >= cap:
-                raise TooLarge(f"more than {cap} up-sets")
+            if len(out) >= OPENS_CAP:
+                raise TooLarge(f"more than {OPENS_CAP} up-sets")
             out.append(include)
             continue
         p = (undecided & -undecided).bit_length() - 1
@@ -400,16 +400,6 @@ def from_preorder(rows, name: str = "space", point_labels=None) -> FiniteSpace:
             if rows[y] & ~row:
                 raise NotTransitive(f"transitivity fails through points {x} <= {y}")
     return FiniteSpace(name=name, n=n, point_labels=labels, nbhds=rows)
-
-
-def is_t0(space: FiniteSpace) -> bool:
-    # no open tells x from y exactly when each lies in the other's N
-    return len(set(space.nbhds)) == space.n
-
-
-def is_t1(space: FiniteSpace) -> bool:
-    pts = space.point_closures()
-    return all(pts[x] == 1 << x for x in range(space.n))
 
 
 # ---------------------------------------------------------------------------

@@ -114,13 +114,16 @@ def optimal_chooser(space: FiniteSpace):
 class ProductChooser:
     """Run parallel Y-games, one per member of the minimal pi-base of X.
 
-    Sub-game i offers base[i] x V with V the minimal pi-base move of Y at
-    the closure of the Y-projections of the points picked inside sub-game
-    i; a sub-game is finished once those projections are dense in Y.  The
-    cursor round-robins over unfinished sub-games.  Every pi-base holds
-    every minimal open M of X, and a finished sub-game on M has a pick in
-    every M x N (N minimal in Y), so once every sub-game is finished the
-    picks are dense and the game is over: an idle state is an
+    Sub-game i offers base[i] x N with N the next minimal open of Y, in
+    order: the state counts, per sub-game, the minimal opens of Y it has
+    played.  That count is the whole Y-game.  A pick in base[i] x N
+    projects into N, every point of a minimal open closes to cl(N), and
+    cl(N) meets no other minimal open of Y; so the pi-base move after N is
+    the next minimal open, and the sub-game is finished once it has played
+    all of them.  The cursor round-robins over unfinished sub-games.  Every
+    pi-base holds every minimal open M of X, and a finished sub-game on M
+    has a pick in every M x N, so once every sub-game is finished the picks
+    are dense and the game is over: an idle state is an
     ``InvariantViolation`` in every variant.
     """
 
@@ -129,31 +132,28 @@ class ProductChooser:
             raise ValueError("product strategy wants exactly two factors")
         self.prod = prod
         self.base = minimal_pi_base(prod.factors[0])
-        self.y_space = prod.factors[1]
-        self.sub_move = pi_base_chooser(self.y_space)
+        self.y_mins = minimal_opens(prod.factors[1])
 
     def initial_state(self):
         return (0, (0,) * len(self.base))
 
     def _current(self, state):
-        cursor, y_closeds = state
-        for step in range(len(y_closeds)):
-            idx = (cursor + step) % len(y_closeds)
-            if y_closeds[idx] != self.y_space.full:
+        cursor, played = state
+        for step in range(len(played)):
+            idx = (cursor + step) % len(played)
+            if played[idx] < len(self.y_mins):
                 return idx
         raise InvariantViolation("all sub-games finished before the game ended")
 
     def choose(self, closed, state):
         idx = self._current(state)
-        v = self.sub_move(state[1][idx], 0)  # the pi-base move ignores the stage
-        return self.prod.box_mask([self.base.members[idx], v])
+        return self.prod.box_mask([self.base.members[idx], self.y_mins[state[1][idx]]])
 
     def observe(self, state, picks):
         idx = self._current(state)
-        y_closeds = state[1]
-        grown = y_closeds[idx] | self.y_space.closure_of(self.prod.proj_mask(picks, 1))
-        y_closeds = y_closeds[:idx] + (grown,) + y_closeds[idx + 1:]
-        return ((idx + 1) % len(y_closeds), y_closeds)
+        played = state[1]
+        played = played[:idx] + (played[idx] + 1,) + played[idx + 1:]
+        return ((idx + 1) % len(played), played)
 
 
 def product_chooser(x: FiniteSpace, y: FiniteSpace,

@@ -277,6 +277,10 @@ class TestPlay:
         code, _, err = invoke(["play", sierpinski_file, "--ledger", "x.ndjson"])
         assert code == 1 and "ledger" in err
 
+    def test_dense_set_without_dense_picker_rejected(self, sierpinski_file):
+        code, out, err = invoke(["play", sierpinski_file, "--pII", "first", "--dense-set", "zz"])
+        assert code == 1 and not out and "--dense-set" in err
+
 
 class TestEnumerate:
     def test_three_point_count(self):

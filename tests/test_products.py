@@ -9,6 +9,9 @@ from openpoint.game import solve_game
 from openpoint.invariants import pi_weight
 from openpoint.products import (
     FanStatus,
+    _box,
+    _fibres,
+    _product_succ,
     fan_tightness_check,
     minimal_open_boxes,
     minimal_opens_via_preorder,
@@ -17,6 +20,7 @@ from openpoint.products import (
 )
 from openpoint.space import (
     TooLarge,
+    bits,
     inclusion_minimal,
     minimal_opens,
     space_from_json,
@@ -67,8 +71,9 @@ class TestProduct:
         s = make_sierpinski()
         prod = product([make_discrete(2), s])
         box = prod.box_mask([0b01, 0b10])
-        assert prod.proj_mask(box, 0) == 0b01
-        assert prod.proj_mask(box, 1) == 0b10
+        assert box == 1 << (0 * 2 + 1)  # point (c0, c1) is bit c0*s1 + c1
+        assert {prod.decode(i)[0] for i in bits(box)} == {0}
+        assert {prod.decode(i)[1] for i in bits(box)} == {1}
 
     def test_opens_are_all_box_unions(self):
         s = make_sierpinski()
@@ -107,7 +112,6 @@ class TestProductMemo:
         assert product([x, relabeled]).space.point_labels == (
             "(a,q0)", "(a,q1)", "(b,q0)", "(b,q1)"
         )
-        assert product([x, y], name="P").space.name == "P"
         prod = product([x, y])
         assert prod.space.name == "sierpinskixdiscrete2"
         assert prod.space.point_labels == ("(a,p0)", "(a,p1)", "(b,p0)", "(b,p1)")
@@ -118,9 +122,9 @@ class TestProductMemo:
         def fresh(space):
             return space_from_json(space_to_json(space))
 
-        for second, name in ((y, None), (z, None), (y, "P"), (y, None)):
-            got = product([x, second], name=name)
-            want = product([fresh(x), fresh(second)], name=name)
+        for second in (y, z, y):
+            got = product([x, second])
+            want = product([fresh(x), fresh(second)])
             assert space_to_json(got.space) == space_to_json(want.space)
             assert got.sizes == want.sizes
 
@@ -166,6 +170,49 @@ class TestBuiltFromRows:
                         meet &= prod.box_mask([u if i == axis else g.full
                                                for i, g in enumerate(factors)])
             assert space.nbhds[idx] == meet
+
+
+def reference_encode(sizes, coords):
+    idx = 0
+    for size, c in zip(sizes, coords):
+        idx = idx * size + c
+    return idx
+
+
+def reference_box(sizes, factor_masks):
+    """The box point by point: every coordinate tuple, encoded row-major."""
+    mask = 0
+    for coords in itertools.product(*(list(bits(m)) for m in factor_masks)):
+        mask |= 1 << reference_encode(sizes, coords)
+    return mask
+
+
+def reference_fibres(prod):
+    """Every fibre, each point decoded and filed under each of its coordinates."""
+    per_axis = [[0] * size for size in prod.sizes]
+    for idx in range(prod.space.n):
+        for masks, coord in zip(per_axis, prod.decode(idx)):
+            masks[coord] |= 1 << idx
+    return [mask for masks in per_axis for mask in masks]
+
+
+class TestIndexRule:
+    """Boxes, rows and fibres spread axis by axis, against the point-by-point encoding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(factor_lists(), st.data())
+    def test_spread_matches_the_point_by_point_encoding(self, factors, data):
+        prod = product(factors)
+        sizes = prod.sizes
+        every = list(itertools.product(*map(range, sizes)))
+        assert [reference_encode(sizes, coords) for coords in every] == list(range(prod.space.n))
+        assert [prod.decode(idx) for idx in range(prod.space.n)] == every
+        rows = tuple(reference_box(sizes, [f.nbhds[c] for f, c in zip(factors, coords)])
+                     for coords in every)
+        assert _product_succ(factors) == rows == prod.space.nbhds
+        assert _fibres(prod) == reference_fibres(prod)
+        masks = [data.draw(st.integers(min_value=0, max_value=f.full)) for f in factors]
+        assert _box(sizes, masks) == prod.box_mask(masks) == reference_box(sizes, masks)
 
 
 class TestPiMultiplicativity:
@@ -339,6 +386,27 @@ class TestFanTightness:
     def test_kappa_must_be_positive(self):
         with pytest.raises(ValueError):
             fan_tightness_check([make_sierpinski()], 0)
+
+    def test_cells_are_searched_once_per_subproduct(self, monkeypatch):
+        import openpoint.products as products
+
+        searched = []
+        point_keys = products._point_keys
+
+        def counted(sub):
+            searched.append(sub.space.name)
+            return point_keys(sub)
+
+        monkeypatch.setattr(products, "_point_keys", counted)
+        x, y = make_sierpinski(), make_discrete(2)
+        first = fan_tightness_check([x, y], 2, "boxes")
+        assert sorted(searched) == ["discrete2", "sierpinski", "sierpinskixdiscrete2"]
+        assert fan_tightness_check([x, y], 2, "boxes") == first
+        assert len(searched) == 3
+        fan_tightness_check([x, y], 3, "boxes")
+        assert len(searched) == 6
+        fan_tightness_check([x, y], 3, "all")
+        assert len(searched) == 9
 
     def test_factor_count_capped_before_any_product(self, monkeypatch):
         import openpoint.products as products

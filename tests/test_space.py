@@ -19,8 +19,6 @@ from openpoint.space import (
     from_preorder,
     interior,
     is_dense,
-    is_t0,
-    is_t1,
     minimal_opens,
     space_from_json,
     space_from_masks,
@@ -29,7 +27,7 @@ from openpoint.space import (
     validate_topology,
 )
 
-from .conftest import make_chain, make_discrete, make_indiscrete, make_two_sierpinski
+from .conftest import make_discrete, make_indiscrete, make_two_sierpinski
 from .invariant_oracle import subspace_trace
 from .util import close_family, space_and_subset, spaces
 
@@ -360,30 +358,6 @@ class TestRowEquality:
         space = from_preorder((0b01, 0b11, 0b100), name="s")
         assert repr(space) == "FiniteSpace('s', n=3, distinct_nbhds=3)"
         assert "opens" not in space._cache
-
-
-class TestSeparationFlags:
-    def test_sierpinski_t0_not_t1(self, sierpinski):
-        assert is_t0(sierpinski) and not is_t1(sierpinski)
-
-    def test_discrete_t1(self):
-        assert is_t1(make_discrete(3))
-
-    def test_indiscrete_not_t0(self):
-        assert not is_t0(make_indiscrete(2))
-
-    def test_chain_t0(self):
-        assert is_t0(make_chain(3))
-
-    @given(spaces())
-    def test_t0_is_the_definition(self, space):
-        # T0: any two points are told apart by an open holding exactly one of them
-        told_apart = all(
-            any((u >> x ^ u >> y) & 1 for u in space.opens)
-            for x in range(space.n)
-            for y in range(x + 1, space.n)
-        )
-        assert is_t0(space) == told_apart
 
 
 class TestCorpusProperties:

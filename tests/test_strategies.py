@@ -189,6 +189,63 @@ class TestTableChooser:
             assert optimal(closed, 0) == from_table(closed, 0) == move
 
 
+class ClosureProductChooser:
+    """The product strategy that closes each sub-game's picks in Y.
+
+    Sub-game i offers base[i] x V with V the minimal pi-base move of Y at
+    the closure of the Y-projections of the points picked inside it.
+    """
+
+    def __init__(self, prod):
+        self.prod = prod
+        self.base = minimal_pi_base(prod.factors[0])
+        self.y_space = prod.factors[1]
+        self.sub_move = pi_base_chooser(self.y_space)
+
+    def initial_state(self):
+        return (0, (0,) * len(self.base))
+
+    def _current(self, state):
+        cursor, y_closeds = state
+        for step in range(len(y_closeds)):
+            idx = (cursor + step) % len(y_closeds)
+            if y_closeds[idx] != self.y_space.full:
+                return idx
+        raise InvariantViolation("all sub-games finished before the game ended")
+
+    def choose(self, closed, state):
+        idx = self._current(state)
+        v = self.sub_move(state[1][idx], 0)
+        return self.prod.box_mask([self.base.members[idx], v])
+
+    def observe(self, state, picks):
+        idx = self._current(state)
+        y_closeds = state[1]
+        grown = y_closeds[idx] | self.y_space.closure_of(projection(self.prod, picks, (1,)))
+        y_closeds = y_closeds[:idx] + (grown,) + y_closeds[idx + 1:]
+        return ((idx + 1) % len(y_closeds), y_closeds)
+
+
+class Lockstep:
+    """Two choosers stepped together; each state they visit must get one offer from both."""
+
+    def __init__(self, first, second):
+        self.first, self.second = first, second
+        self.visited = 0
+
+    def initial_state(self):
+        return (self.first.initial_state(), self.second.initial_state())
+
+    def choose(self, closed, state):
+        move = self.first.choose(closed, state[0])
+        assert move == self.second.choose(closed, state[1]), (closed, state)
+        self.visited += 1
+        return move
+
+    def observe(self, state, picks):
+        return (self.first.observe(state[0], picks), self.second.observe(state[1], picks))
+
+
 class TestProductChooser:
     def test_sierpinski_square(self):
         s = make_sierpinski()
@@ -222,9 +279,26 @@ class TestProductChooser:
         prod = product([x, y])
         chooser = product_chooser(x, y, prod=prod)
         assert evaluate_chooser(prod.space, chooser, variant) == 4
-        done = (0, (y.full, y.full))
+        done = (0, (len(minimal_opens(y)),) * 2)
         with pytest.raises(InvariantViolation, match="all sub-games finished"):
             chooser.choose(0, done)
+
+    @pytest.mark.parametrize("variant", list(GameVariant))
+    def test_offers_match_the_closure_chooser_on_every_pair(self, labeled_corpus, variant):
+        # the Y-closure bookkeeping the counting chooser replaced, as the
+        # reference, stepped in lockstep along every picker line
+        upto3 = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
+        pairs = list(iter_product(upto3, repeat=2))
+        assert len(pairs) == 1156
+        for x, y in pairs:
+            prod = product([x, y])
+            counting = product_chooser(x, y, prod=prod)
+            closing = ClosureProductChooser(prod)
+            both = Lockstep(counting, closing)
+            worst = evaluate_chooser(prod.space, both, variant)
+            assert both.visited, prod.space.name
+            assert worst == evaluate_chooser(prod.space, counting, variant)
+            assert worst == evaluate_chooser(prod.space, closing, variant)
 
     def test_transcript_against_stalling_picker(self):
         x, y = make_discrete(2), make_sierpinski()
@@ -232,6 +306,20 @@ class TestProductChooser:
         chooser = product_chooser(x, y, prod=prod)
         t = play_transcript(prod.space, chooser, stalling_picker(prod.space))
         assert t.terminal and t.length <= 2
+
+
+def projection(prod, mask, axes):
+    """The points of the product over ``axes`` that ``mask`` projects onto.
+
+    Read through ``decode`` on both products.
+    """
+    sub = product([prod.factors[a] for a in axes])
+    index = {sub.decode(j): j for j in range(sub.space.n)}
+    out = 0
+    for idx in bits(mask):
+        coords = prod.decode(idx)
+        out |= 1 << index[tuple(coords[a] for a in axes)]
+    return out
 
 
 def closure_plan(agg, state):
@@ -247,7 +335,7 @@ def closure_plan(agg, state):
             break
         phase += 1
     gamma = agg.gammas[phase]
-    closeds = {g: agg.spaces[g].closure_of(agg.prod.proj_mask(picks, g)) for g in gamma}
+    closeds = {g: agg.spaces[g].closure_of(projection(agg.prod, picks, (g,))) for g in gamma}
     active = [g for g in gamma if closeds[g] != agg.spaces[g].full]
     parts = [None] * len(agg.spaces)
     if active:
@@ -320,10 +408,7 @@ class TestAggregateChooser:
             picks = data.draw(st.integers(min_value=0, max_value=prod.space.full))
             for gamma in agg.gammas:
                 sub = product([agg.spaces[g] for g in gamma])
-                proj = 0
-                for idx in bits(picks):
-                    coords = prod.decode(idx)
-                    proj |= 1 << sub.encode(tuple(coords[g] for g in gamma))
+                proj = projection(prod, picks, gamma)
                 dense = sub.space.closure_of(proj) == sub.space.full
                 assert (agg._first_missed(gamma, picks) is None) == dense
 
