@@ -88,8 +88,9 @@ def _preorder_masks(n: int):
     It holds x and agrees with every earlier row y both ways: y in row x
     needs row y inside row x, and x in row y needs row x inside row y.
     Every pair of points is checked once, so each completed choice is a
-    preorder.  The families are validated once, as spaces, by
-    ``enumerate_labeled``.
+    preorder, and no two are the same; distinct preorders have distinct
+    up-sets, so no family repeats.  The families are validated once, as
+    spaces, by ``enumerate_labeled``.
     """
     if n > PREORDER_METHOD_CAP:
         raise TooLarge(f"preorder generation is capped at n = {PREORDER_METHOD_CAP}")
@@ -98,7 +99,7 @@ def _preorder_masks(n: int):
 
     def place(x):
         if x == n:
-            out.append(tuple(enumerate_upsets(n, rows)))
+            out.append(enumerate_upsets(rows))
             return
         bit = 1 << x
         for row in range(bit, 1 << n):
@@ -113,7 +114,7 @@ def _preorder_masks(n: int):
                 place(x + 1)
 
     place(0)
-    return sorted(set(out))
+    return sorted(out)
 
 
 def enumerate_labeled(n: int, method: str = "preorder"):

@@ -72,7 +72,7 @@ def zero_classes(m: PseudometricSpace) -> list[int]:
     return out
 
 
-def topology_from_pseudometric(m: PseudometricSpace, name: str | None = None) -> FiniteSpace:
+def topology_from_pseudometric(m: PseudometricSpace) -> FiniteSpace:
     """The partition topology whose opens are unions of zero-distance classes.
 
     N(x) is the class of x.  Metrics have at most ``MAX_POINTS`` points, as spaces read from files.
@@ -80,7 +80,7 @@ def topology_from_pseudometric(m: PseudometricSpace, name: str | None = None) ->
     if m.n > MAX_POINTS:
         raise TooLarge(f"{m.n} points exceeds the {MAX_POINTS}-point cap")
     rows = [sum(1 << y for y, d in enumerate(row) if d == 0) for row in m.dist]
-    return from_preorder(rows, name or "pseudometric", m.labels)
+    return from_preorder(rows, "pseudometric", m.labels)
 
 
 def _ball(m: PseudometricSpace, center: int, radius: Fraction) -> int:
@@ -144,9 +144,9 @@ def _mask(points) -> int:
     return out
 
 
-def greedy_run_violations(m: PseudometricSpace, start: int = 0) -> list[str]:
-    """Check every promised property of one greedy run; empty means clean."""
-    run = greedy_dense_sequence(m, start)
+def greedy_run_violations(m: PseudometricSpace) -> list[str]:
+    """Check every promised property of the greedy run from point 0; empty means clean."""
+    run = greedy_dense_sequence(m)
     out = []
     for a, b in zip(run.radii, run.radii[1:]):
         if b > a:

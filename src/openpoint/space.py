@@ -7,12 +7,13 @@ A space stores the minimal neighbourhood N(x) of every point, and nothing
 else describes its topology: the opens are exactly the unions of the N(x)
 (Alexandroff, "Diskrete Räume", 1937).  Space equality compares the rows.
 Point closures, ``is_open``, ``interior``, ``minimal_opens`` and
-``subspace`` derive from them.  A product's rows grow with its points, its open lattice grows
-exponentially; so ``opens`` is the family validated by ``space_from_masks``
-or, for a space built from rows, the up-sets enumerated on first access
-under ``OPENS_CAP``.  ``closure`` scans that lattice, as the oracle the
-derived routes are checked against; ``closures`` keeps its value for every
-subset.
+``subspace`` derive from them.  A product's rows grow with its points, its
+open lattice grows exponentially; so ``opens`` is the family validated by
+``space_from_masks`` or, for a space built from rows, the union-closure of
+the rows built on first access, refused once it passes ``OPENS_CAP``.
+``closure`` scans that lattice, as the oracle the derived routes are
+checked against; ``closures`` keeps its value for every subset.  Every
+value derived from the rows is kept on the space through ``memo``.
 """
 
 from __future__ import annotations
@@ -107,17 +108,14 @@ class FiniteSpace:
 
     @property
     def opens(self) -> tuple[int, ...]:
-        """Every open set, increasing; enumerated from the rows on first use if not stored."""
-        got = self._cache.get("opens")
-        if got is None:
-            got = self._cache["opens"] = tuple(enumerate_upsets(self.n, self.nbhds))
-        return got
+        """Every open set, increasing; the union-closure of the rows on first use if not stored."""
+        return self.memo("opens", enumerate_upsets, self.nbhds)
 
-    def memo(self, key, compute):
-        """``compute()``, called once per space and key; the value is kept on the space."""
+    def memo(self, key, compute, *args):
+        """``compute(*args)``, called once per space and key; the value is kept on the space."""
         got = self._cache.get(key)
         if got is None:
-            got = self._cache[key] = compute()
+            got = self._cache[key] = compute(*args)
         return got
 
     def __eq__(self, other) -> bool:
@@ -151,14 +149,7 @@ class FiniteSpace:
 
     def point_closures(self) -> tuple[int, ...]:
         """closure({x}) = {y : x in N(y)} for every point x, indexed by x."""
-        got = self._cache.get("point_closures")
-        if got is None:
-            out = [0] * self.n
-            for y, nbhd in enumerate(self.nbhds):
-                for x in bits(nbhd):
-                    out[x] |= 1 << y
-            got = self._cache["point_closures"] = tuple(out)
-        return got
+        return self.memo("point_closures", _point_closures, self.nbhds)
 
     def closure_of(self, mask: int) -> int:
         """Closure of ``mask`` as the union of its points' cached closures."""
@@ -167,6 +158,15 @@ class FiniteSpace:
         for x in bits(mask):
             out |= pts[x]
         return out
+
+
+def _point_closures(nbhds) -> tuple[int, ...]:
+    """The transpose of the rows: entry x holds every y with x in ``nbhds[y]``."""
+    out = [0] * len(nbhds)
+    for y, nbhd in enumerate(nbhds):
+        for x in bits(nbhd):
+            out[x] |= 1 << y
+    return tuple(out)
 
 
 def _min_neighborhoods(n: int, opens, members) -> tuple[int, ...]:
@@ -287,10 +287,7 @@ def minimal_opens(space: FiniteSpace) -> tuple[int, ...]:
     These are pairwise disjoint, each carries the indiscrete subspace
     topology, and together they form the unique smallest pi-base.
     """
-    got = space._cache.get("minimal_opens")
-    if got is None:
-        got = space._cache["minimal_opens"] = inclusion_minimal(space.nbhds)
-    return got
+    return space.memo("minimal_opens", inclusion_minimal, space.nbhds)
 
 
 def inclusion_minimal(rows) -> tuple[int, ...]:
@@ -331,45 +328,23 @@ def subspace(space: FiniteSpace, subset: int) -> FiniteSpace:
     return from_preorder(rows, f"{space.name}|sub", labels)
 
 
-def enumerate_upsets(n: int, succ) -> list[int]:
-    """All sets U with x in U implying succ[x] a subset of U, sorted.
+def enumerate_upsets(rows) -> tuple[int, ...]:
+    """Every union of ``rows``, the empty one included, in increasing order.
 
-    Runs in O(result * n): a depth-first branch on the lowest undecided
-    point, forcing successor closure on inclusion and predecessor exclusion
-    on rejection.  Raises TooLarge past ``OPENS_CAP`` results.
+    The rows must be reflexive and transitive: x in rows[x], and y in
+    rows[x] implies rows[y] inside rows[x].  Each row is then the least
+    up-set holding its point, so the unions of rows are exactly the
+    up-sets.  They are built by union-closure: start from {0} and join
+    each distinct row to every set so far.  The set only grows, so it
+    passes ``OPENS_CAP`` exactly when the lattice does; one row can at
+    most double it, and TooLarge is raised after the row that passes it.
     """
-    pred = [0] * n
-    for x in range(n):
-        for y in bits(succ[x]):
-            pred[y] |= 1 << x
-    full = (1 << n) - 1
-    out: list[int] = []
-    stack = [(0, 0)]
-    while stack:
-        include, exclude = stack.pop()
-        undecided = full & ~(include | exclude)
-        if not undecided:
-            if len(out) >= OPENS_CAP:
-                raise TooLarge(f"more than {OPENS_CAP} up-sets")
-            out.append(include)
-            continue
-        p = (undecided & -undecided).bit_length() - 1
-        # include p: its successor closure comes along, unless blocked
-        need = succ[p]
-        grown = 1 << p
-        while True:
-            new = (need | grown) & ~grown
-            if not new:
-                break
-            grown |= new
-            need = 0
-            for q in bits(new):
-                need |= succ[q]
-        if not (grown & exclude):
-            stack.append((include | grown, exclude))
-        # exclude p: everything reaching p is excluded too
-        stack.append((include, exclude | pred[p] | (1 << p)))
-    return sorted(out)
+    opens = {0}
+    for row in set(rows):
+        opens |= {u | row for u in opens}
+        if len(opens) > OPENS_CAP:
+            raise TooLarge(f"more than {OPENS_CAP} up-sets")
+    return tuple(sorted(opens))
 
 
 def from_preorder(rows, name: str = "space", point_labels=None) -> FiniteSpace:

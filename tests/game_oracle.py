@@ -61,3 +61,25 @@ def oracle_values(space, variant=GameVariant.RESTRICTED):
 
     visit(0)
     return memo
+
+
+def chooser_line_lengths(space, picker):
+    """Length of every restricted play in which the chooser tries each legal open.
+
+    Every line of offered opens is walked out and nothing is remembered;
+    the picker's answer is closed through its lowest point.
+    """
+    clpt = space.point_closures()
+    lengths = []
+
+    def walk(closed, stage, acc):
+        if closed == space.full:
+            lengths.append(acc)
+            return
+        for u in space.opens:
+            if u and not u & closed:
+                picks = picker(closed, u, stage, None)
+                walk(closed | clpt[(picks & -picks).bit_length() - 1], stage + 1, acc + 1)
+
+    walk(0, 0, 0)
+    return lengths

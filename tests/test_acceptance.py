@@ -48,7 +48,7 @@ from openpoint.strategies import (
     product_chooser,
 )
 
-from .game_oracle import oracle_values
+from .game_oracle import chooser_line_lengths, oracle_values
 
 pytestmark = pytest.mark.acceptance
 
@@ -148,25 +148,12 @@ def test_criterion_5_pi_base_bound(corpus4):
 def test_criterion_6_dense_picker_lower_bound(corpus3):
     checked = 0
     for space in corpus3:
-        clpt = space.point_closures()
         for a in range(1, space.full + 1):
             if not is_dense(space, a):
                 continue
             picker = dense_point_picker(space, a)
             target = density(subspace(space, a))
-            lengths = []
-
-            def walk(closed, stage, acc):
-                if closed == space.full:
-                    lengths.append(acc)
-                    return
-                for u in space.opens:
-                    if u and not u & closed:
-                        picks = picker(closed, u, stage, None)
-                        point = (picks & -picks).bit_length() - 1
-                        walk(closed | clpt[point], stage + 1, acc + 1)
-
-            walk(0, 0, 0)
+            lengths = chooser_line_lengths(space, picker)
             assert lengths and min(lengths) >= target, \
                 f"picker beaten on {space.name}, dense set {a}"
             checked += 1

@@ -26,6 +26,7 @@ from openpoint.space import TooLarge, bits, is_dense, space_from_masks
 from openpoint.strategies import dense_point_picker
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski, make_two_sierpinski
+from .game_oracle import chooser_line_lengths
 from .util import spaces
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -45,24 +46,6 @@ def brute_canonical_form(space):
         tuple(sorted(_permute_mask(u, perm) for u in space.opens))
         for perm in permutations(range(space.n))
     )
-
-
-def brute_shortest_play(space, picker):
-    """Every line of offered opens walked out, nothing remembered."""
-    clpt = space.point_closures()
-    lengths = []
-
-    def walk(closed, stage, acc):
-        if closed == space.full:
-            lengths.append(acc)
-            return
-        for u in space.opens:
-            if u and not u & closed:
-                picks = picker(closed, u, stage, None)
-                walk(closed | clpt[(picks & -picks).bit_length() - 1], stage + 1, acc + 1)
-
-    walk(0, 0, 0)
-    return min(lengths)
 
 
 # One broken route per check: (check, the name it reads on ``enumeration``,
@@ -257,7 +240,7 @@ class TestSuite:
                 for a in range(1, space.full + 1):
                     if is_dense(space, a):
                         picker = dense_point_picker(space, a)
-                        assert _shortest_play(space, picker) == brute_shortest_play(space, picker)
+                        assert _shortest_play(space, picker) == min(chooser_line_lengths(space, picker))
 
     def test_dense_lower_bound_walks_five_points(self, monkeypatch):
         space = make_indiscrete(5)

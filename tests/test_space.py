@@ -1,9 +1,13 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
+from openpoint.enumeration import enumerate_labeled
+from openpoint.products import product
 from openpoint.space import (
+    OPENS_CAP,
     DuplicateLabel,
     EmptySubspace,
     MissingEmptyOrFull,
@@ -14,8 +18,10 @@ from openpoint.space import (
     TooLarge,
     TopologyError,
     UnknownLabel,
+    bits,
     closure,
     closures,
+    enumerate_upsets,
     from_preorder,
     interior,
     is_dense,
@@ -27,7 +33,7 @@ from openpoint.space import (
     validate_topology,
 )
 
-from .conftest import make_discrete, make_indiscrete, make_two_sierpinski
+from .conftest import make_cli_class_factors, make_discrete, make_indiscrete, make_two_sierpinski
 from .invariant_oracle import subspace_trace
 from .util import close_family, space_and_subset, spaces
 
@@ -180,6 +186,89 @@ class TestStoredNeighbourhoods:
         for x in range(space.n):
             for y in range(space.n):
                 assert (space.nbhds[x] >> y & 1) == (closure(space, 1 << y) >> x & 1)
+
+
+def search_upsets(n, succ):
+    """All sets U with x in U implying succ[x] a subset of U, sorted.
+
+    The reference for the union-closure: a depth-first branch on the
+    lowest undecided point, forcing successor closure on inclusion and
+    predecessor exclusion on rejection.  It reads ``succ`` as a relation
+    and never forms a union of rows.  Raises TooLarge past ``OPENS_CAP``
+    results.
+    """
+    pred = [0] * n
+    for x in range(n):
+        for y in bits(succ[x]):
+            pred[y] |= 1 << x
+    full = (1 << n) - 1
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        include, exclude = stack.pop()
+        undecided = full & ~(include | exclude)
+        if not undecided:
+            if len(out) >= OPENS_CAP:
+                raise TooLarge(f"more than {OPENS_CAP} up-sets")
+            out.append(include)
+            continue
+        p = (undecided & -undecided).bit_length() - 1
+        # include p: its successor closure comes along, unless blocked
+        need = succ[p]
+        grown = 1 << p
+        while True:
+            new = (need | grown) & ~grown
+            if not new:
+                break
+            grown |= new
+            need = 0
+            for q in bits(new):
+                need |= succ[q]
+        if not (grown & exclude):
+            stack.append((include | grown, exclude))
+        # exclude p: everything reaching p is excluded too
+        stack.append((include, exclude | pred[p] | (1 << p)))
+    return sorted(out)
+
+
+class TestUnionClosure:
+    """``enumerate_upsets`` against the up-set search on every corpus the suite uses."""
+
+    @staticmethod
+    def _assert_same(space):
+        assert enumerate_upsets(space.nbhds) == tuple(search_upsets(space.n, space.nbhds))
+
+    def test_every_labeled_space_up_to_five_points(self, labeled_corpus):
+        five = list(enumerate_labeled(5))
+        assert len(five) == 6942
+        for space in [s for n in range(1, 5) for s in labeled_corpus[n]] + five:
+            self._assert_same(space)
+            # the validated family, read from the opens rather than the rows
+            assert enumerate_upsets(space.nbhds) == space.opens
+
+    def test_pair_corpus_products(self, labeled_corpus):
+        small = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
+        pairs = list(itertools.product(small, repeat=2))
+        assert len(pairs) == 1156
+        for x, y in pairs:
+            self._assert_same(product([x, y]).space)
+
+    @pytest.mark.parametrize("factors", [
+        make_cli_class_factors, lambda: (make_discrete(4), make_discrete(4)),
+    ], ids=["cli-class", "D4xD4"])
+    def test_large_products(self, factors):
+        self._assert_same(product(list(factors())).space)
+
+    @given(spaces(max_points=6))
+    def test_random_spaces(self, space):
+        self._assert_same(space)
+
+    def test_cap_boundary(self):
+        # discrete rows: 17 give exactly OPENS_CAP = 2^17 opens, 18 one row too many
+        assert OPENS_CAP == 1 << 17
+        assert len(enumerate_upsets([1 << i for i in range(17)])) == OPENS_CAP
+        with pytest.raises(TooLarge, match="more than 131072 up-sets"):
+            enumerate_upsets([1 << i for i in range(18)])
 
 
 class TestSubspace:

@@ -38,6 +38,7 @@ from openpoint.strategies import (
 )
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski, make_two_sierpinski
+from .game_oracle import chooser_line_lengths
 from .util import spaces
 
 
@@ -113,24 +114,6 @@ class TestPiBaseChooser:
                 assert worst <= len(base), space.name
 
 
-def traverse_all_chooser_lines(space, picker, variant=GameVariant.RESTRICTED):
-    """Lengths of every play where the chooser tries every legal open."""
-    clpt = space.point_closures()
-    lengths = []
-
-    def walk(closed, stage, acc):
-        if closed == space.full:
-            lengths.append(acc)
-            return
-        for u in space.opens:
-            if u and not u & closed:
-                picks = picker(closed, u, stage, None)
-                walk(closed | clpt[(picks & -picks).bit_length() - 1], stage + 1, acc + 1)
-
-    walk(0, 0, 0)
-    return lengths
-
-
 class TestDensePicker:
     def test_requires_density(self, sierpinski):
         with pytest.raises(NotDense):
@@ -142,7 +125,7 @@ class TestDensePicker:
 
     def test_lower_bound_two_sierpinski(self, two_sierpinski):
         picker = dense_point_picker(two_sierpinski, 0b1010)
-        lengths = traverse_all_chooser_lines(two_sierpinski, picker)
+        lengths = chooser_line_lengths(two_sierpinski, picker)
         target = density(subspace(two_sierpinski, 0b1010))
         assert lengths and min(lengths) >= target == 2
 
@@ -152,13 +135,13 @@ class TestDensePicker:
                 if not is_dense(space, a):
                     continue
                 picker = dense_point_picker(space, a)
-                lengths = traverse_all_chooser_lines(space, picker)
+                lengths = chooser_line_lengths(space, picker)
                 assert min(lengths) >= density(subspace(space, a))
 
     def test_discrete_full_set_forces_n(self):
         d = make_discrete(3)
         picker = dense_point_picker(d, d.full)
-        lengths = traverse_all_chooser_lines(d, picker)
+        lengths = chooser_line_lengths(d, picker)
         assert set(lengths) == {3}
 
 
