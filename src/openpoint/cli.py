@@ -18,6 +18,7 @@ from math import prod as size_product
 from . import enumeration, metric, products, strategies
 from .game import (
     GameVariant,
+    capped_table,
     first_point_picker,
     random_picker,
     run_game,
@@ -268,7 +269,7 @@ def cmd_play(args, out, err, stdin):
         space = prod.space if prod else spaces_list[0]
         table = None
         if "optimal" in (args.chooser, args.picker):
-            table = solve_game(space)
+            table = capped_table(space)
         chooser, agg = _build_chooser(args, spaces_list, prod, table)
         picker = _build_picker(args, space, table)
         if picker is None:
@@ -304,7 +305,7 @@ def cmd_enumerate(args, out, *_):
     if args.mode == "labeled":
         stream = enumeration.enumerate_labeled(args.n, method=args.method)
     else:
-        stream = enumeration.enumerate_unlabeled(args.n)
+        stream = enumeration.enumerate_unlabeled(args.n, method=args.method)
     with _output(args.out, out) as dest:
         for space in stream:
             _emit(dest, space_to_json(space), args.format)

@@ -164,11 +164,14 @@ def canonical_form(space: FiniteSpace) -> tuple[int, ...]:
     return min(tuple(sorted(map(t.__getitem__, opens))) for t in _relabelings(space.n))
 
 
-def enumerate_unlabeled(n: int):
-    """Yield one canonical representative per homeomorphism class."""
+def enumerate_unlabeled(n: int, method: str = "preorder"):
+    """Yield one canonical representative per homeomorphism class.
+
+    ``method`` picks the labeled generator, as in ``enumerate_labeled``.
+    """
     seen = set()
     reps = []
-    for space in enumerate_labeled(n):
+    for space in enumerate_labeled(n, method=method):
         form = canonical_form(space)
         if form not in seen:
             seen.add(form)
@@ -303,7 +306,7 @@ def _check_subspace_monotone(space):
         cl_s = cls[s]
         if cls[interior(space, cl_s)] != cl_s:
             return {"subset": s, "reason": "regularity identity failed"}
-        sub_gd = solve_game(subspace(space, s)).gd
+        sub_gd = solved_gd(subspace(space, s))
         if sub_gd > gd:
             return {"subset": s, "sub_gd": sub_gd, "gd": gd}
     return None

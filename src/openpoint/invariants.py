@@ -200,11 +200,15 @@ def invariant_report(space: FiniteSpace) -> InvariantReport:
     t = 1.  Closure is additive on a finite space, so x in cl(Y) puts x in
     cl{y} for some y in Y; ``tightness`` is this route's oracle.
     """
-    return space.memo("invariant_report", lambda: InvariantReport(
+    return space.memo("invariant_report", _report, space)
+
+
+def _report(space: FiniteSpace) -> InvariantReport:
+    return InvariantReport(
         d=density(space),
         delta=delta(space),
         gd=len(minimal_opens(space)),
         pi=pi_weight(space),
         w=weight(space),
         t=1,
-    ))
+    )

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import solve_game
+from .game import solved_gd
 from .invariants import delta, density, pi_weight, weight
 from .space import (MAX_POINTS, FiniteSpace, TooLarge, TopologyError, closure, from_preorder,
                     is_str_list)
@@ -161,7 +161,7 @@ def greedy_run_violations(m: PseudometricSpace) -> list[str]:
         out.append("picks are not dense")
     if len(run.order) != len(zero_classes(m)):
         out.append("run length differs from the class count")
-    rep = (density(space), delta(space), solve_game(space).gd,
+    rep = (density(space), delta(space), solved_gd(space),
            pi_weight(space), weight(space))
     if len(set(rep)) != 1:
         out.append(f"partition topology fails d=delta=gd=pi=w: {rep}")

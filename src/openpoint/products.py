@@ -309,7 +309,7 @@ def fan_tightness_check(factors, kappa: int,
         gamma = tuple(i for i in range(k) if gamma_bits >> i & 1)
         sub = product([factors[g] for g in gamma])
         cells = sub.space.memo(("fan", kappa, candidate_policy),
-                               lambda: _fan_cells(sub, kappa, candidate_policy))
+                               _fan_cells, sub, kappa, candidate_policy)
         for u, fam in cells:
             if fam is None:
                 unknown.append((gamma, u))

@@ -265,7 +265,11 @@ def closures(space: FiniteSpace) -> tuple[int, ...]:
     For the routes that sweep every subset.  A single query stays a
     ``closure`` call, so it never builds the 2^n entries.
     """
-    return space.memo("closures", lambda: tuple(closure(space, s) for s in range(space.full + 1)))
+    return space.memo("closures", _all_closures, space)
+
+
+def _all_closures(space: FiniteSpace) -> tuple[int, ...]:
+    return tuple(closure(space, s) for s in range(space.full + 1))
 
 
 def interior(space: FiniteSpace, subset: int) -> int:

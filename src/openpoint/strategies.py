@@ -347,5 +347,8 @@ def aggregate_worst(prod: ProductSpace) -> int:
     ``evaluate_chooser`` of ``aggregate_chooser(prod.factors)``, restricted;
     only the integer is kept on the product space, as ``solved_gd`` does.
     """
-    return prod.space.memo("aggregate_worst", lambda: evaluate_chooser(
-        prod.space, aggregate_chooser(prod.factors, prod=prod)))
+    return prod.space.memo("aggregate_worst", _aggregate_worst, prod)
+
+
+def _aggregate_worst(prod: ProductSpace) -> int:
+    return evaluate_chooser(prod.space, aggregate_chooser(prod.factors, prod=prod))

@@ -292,6 +292,27 @@ class TestEnumerate:
         code, out, _ = invoke(["enumerate", "--n", "3", "--mode", "unlabeled"])
         assert len(ndjson_lines(out)) == 9
 
+    def test_unlabeled_family_past_its_cap_is_refused(self):
+        code, out, err = invoke(["enumerate", "--n", "5", "--mode", "unlabeled",
+                                 "--method", "family"])
+        assert code == 1 and not out
+        assert "family-closure generation is capped at n = 4" in err
+
+    def test_unlabeled_both_cross_checks_the_generators(self, monkeypatch):
+        from openpoint import enumeration
+
+        real, calls = enumeration._family_closure_masks, []
+
+        def spy(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(enumeration, "_family_closure_masks", spy)
+        code, out, err = invoke(["enumerate", "--n", "3", "--mode", "unlabeled",
+                                 "--method", "both"])
+        assert code == 0, err
+        assert len(ndjson_lines(out)) == 9 and calls == [3]
+
     def test_every_line_loads_back(self):
         _, out, _ = invoke(["enumerate", "--n", "2"])
         for rec in ndjson_lines(out):

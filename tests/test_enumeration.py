@@ -211,7 +211,8 @@ class TestSuite:
         def unsolvable(space):
             raise AssertionError("the variants check solved a second game")
 
-        monkeypatch.setattr(game, "solve_game", unsolvable)
+        for name in ("capped_table", "solve_game"):
+            monkeypatch.setattr(game, name, unsolvable)
         assert _check_variants(space) == {"_note": {"multi_equals_free": True}}
 
     def test_variant_check_fails_when_multi_point_play_exceeds_gd(self, monkeypatch):

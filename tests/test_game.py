@@ -4,10 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openpoint.game import (
     GameVariant,
     IllegalMove,
+    capped_table,
     evaluate_chooser,
     exact_force_set,
     first_point_picker,
@@ -21,6 +23,7 @@ from openpoint.game import (
 )
 from openpoint.invariants import delta, density
 from openpoint.products import product
+from openpoint.enumeration import enumerate_labeled
 from openpoint.space import FiniteSpace, TooLarge, minimal_opens, validate_topology
 
 from .conftest import make_chain, make_cli_class_factors, make_discrete, make_indiscrete
@@ -192,6 +195,125 @@ class TestReferenceSolver:
         self._assert_same(product(list(make_cli_class_factors())).space)
 
 
+def _full_scan(replies, full):
+    """Values and first best moves over a reply list ``(m, add)``, every reply scanned."""
+    value, best = {full: 0}, {}
+
+    def visit(closed):
+        if closed not in value:
+            best_val, best_mv = math.inf, None
+            for m, add in replies:
+                if not m & closed:
+                    val = visit(closed | add)
+                    if val < best_val:
+                        best_val, best_mv = val, m
+            value[closed] = best_val + 1
+            if best_mv is not None:
+                best[closed] = best_mv
+        return value[closed]
+
+    visit(0)
+    return value, best
+
+
+@st.composite
+def reply_lists(draw):
+    """A point count and replies ``(m, add)`` with m inside add, as a stage needs."""
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    replies = []
+    for m in draw(st.lists(st.integers(1, full), min_size=1, max_size=8)):
+        replies.append((m, m | draw(st.integers(0, full))))
+    return n, replies
+
+
+class TestFloor:
+    """The lazy table, cut at each state's floor, against the complete solve.
+
+    After ``table(0)`` every state the lazy table holds has the complete
+    table's value and best move; solving every other reachable state on
+    the same table then fills it to the complete table exactly.
+    """
+
+    @staticmethod
+    def _assert_agrees(lazy, value, best):
+        assert lazy(0) == value[0]
+        for closed, val in lazy.value.items():
+            assert val == value[closed], closed
+            assert lazy.best_move.get(closed) == best.get(closed), closed
+        for closed in value:
+            lazy(closed)
+        assert (lazy.value, lazy.best_move) == (value, best)
+
+    def _assert_same_as_solve(self, space):
+        complete = solve_game(space)
+        self._assert_agrees(capped_table(space), complete.value, complete.best_move)
+
+    def test_every_labeled_space_up_to_five_points(self, labeled_corpus):
+        five = list(enumerate_labeled(5))
+        assert len(five) == 6942
+        for space in [s for n in range(1, 5) for s in labeled_corpus[n]] + five:
+            self._assert_same_as_solve(space)
+
+    def test_pair_corpus_products(self, labeled_corpus):
+        small = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
+        pairs = list(itertools.product(small, repeat=2))
+        assert len(pairs) == 1156
+        for x, y in pairs:
+            self._assert_same_as_solve(product([x, y]).space)
+
+    @pytest.mark.parametrize("factors", [
+        make_cli_class_factors, lambda: (make_discrete(4), make_discrete(4)),
+    ], ids=["cli-class", "D4xD4"])
+    def test_large_products(self, factors):
+        self._assert_same_as_solve(product(list(factors())).space)
+
+    def test_d4_squared_solves_one_line(self):
+        # every closure is one point, so every reply meets the floor: the
+        # value from the empty state reads one state per stage
+        d4 = make_discrete(4)
+        space = product([d4, d4]).space
+        lazy = capped_table(space)
+        assert lazy.gd == 16 and len(lazy.value) <= 17
+        assert len(solve_game(space).value) == 1 << 16
+
+    # On a finite space every reply covers one minimal open, so the replies
+    # from a state are all worth the same and any cut lands on a best move.
+    # The lemma needs only that a stage adds at most ``a`` points, so it is
+    # checked on reply lists whose replies differ, where a floor set too
+    # high would stop at a worse reply.
+    def test_a_later_reply_can_be_the_best(self, monkeypatch):
+        import openpoint.game as game
+
+        p = [1 << i for i in range(6)]
+        # the first reply leaves five points, which take two more stages;
+        # the second leaves three, which the third closes in one
+        replies = [(p[0], p[0]), (p[1], p[1] | p[2] | p[3]), (p[4], p[0] | p[4] | p[5])]
+        monkeypatch.setattr(game, "_reply_closures", lambda space: replies)
+        lazy = capped_table(make_discrete(6))
+        assert (lazy.gd, lazy.best_move[0]) == (2, p[1])
+        self._assert_agrees(lazy, *_full_scan(replies, (1 << 6) - 1))
+
+    @given(reply_lists())
+    @settings(max_examples=200)
+    def test_any_reply_list(self, case):
+        import openpoint.game as game
+
+        n, replies = case
+        real = game._reply_closures
+        game._reply_closures = lambda space: replies
+        try:
+            lazy = capped_table(make_discrete(n))
+        finally:
+            game._reply_closures = real
+        self._assert_agrees(lazy, *_full_scan(replies, (1 << n) - 1))
+
+    def test_lazy_table_keeps_the_state_cap(self):
+        # D3 x D7: 21 minimal opens, one past the 2^20 bound
+        with pytest.raises(TooLarge, match="2\\^21 states"):
+            capped_table(product([make_discrete(3), make_discrete(7)]).space)
+
+
 class TestReplyList:
     def test_points_of_a_minimal_open_share_one_closure(self, labeled_corpus):
         cases = [s for n in range(1, 5) for s in labeled_corpus[n]]
@@ -256,7 +378,7 @@ class TestSolvedGd:
             calls.append(space)
             return SimpleNamespace(gd=10 + len(calls))
 
-        monkeypatch.setattr(game, "solve_game", counting)
+        monkeypatch.setattr(game, "capped_table", counting)
         space, other = make_discrete(2), make_discrete(3)
         for _ in range(2):
             assert (solved_gd(space), solved_gd(other)) == (11, 12)
