@@ -12,7 +12,14 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations
 
-from .game import GameVariant, evaluate_chooser, exact_force_set, solve_game, solved_gd
+from .game import (
+    GameVariant,
+    capped_table,
+    evaluate_chooser,
+    exact_force_set,
+    solve_game,
+    solved_gd,
+)
 from .invariants import (
     delta_oracle,
     dense_densities,
@@ -41,7 +48,6 @@ from .space import (
     interior,
     minimal_opens,
     space_from_masks,
-    subspace,
 )
 from .strategies import aggregate_worst, dense_point_picker, pi_base_chooser, product_chooser
 
@@ -298,6 +304,17 @@ def _check_value_monotone(space):
 
 
 def _check_subspace_monotone(space):
+    """gd of every open and every dense subspace against the space's gd.
+
+    The paper compares gd of a space with gd of its open and of its dense
+    subspaces, so those are the subjects.  On them the regularity identity
+    cl(int(cl S)) = cl S holds by itself: for an open U, U lies in
+    int(cl U), which lies in cl U; for a dense D, cl D is the whole space.
+    So a failed identity points at a wrong closure table.  Each subspace's gd
+    comes from the solver, its oracle here, on a table ``within`` S in the
+    space's own coordinates (the trace lemma of ``StrategyTable``), so no
+    subspace is built; ``space.subspace`` is the tests' reference for it.
+    """
     gd = solved_gd(space)
     cls = closures(space)
     subjects = {u for u in space.opens if u}
@@ -306,7 +323,7 @@ def _check_subspace_monotone(space):
         cl_s = cls[s]
         if cls[interior(space, cl_s)] != cl_s:
             return {"subset": s, "reason": "regularity identity failed"}
-        sub_gd = solved_gd(subspace(space, s))
+        sub_gd = capped_table(space, s).gd
         if sub_gd > gd:
             return {"subset": s, "sub_gd": sub_gd, "gd": gd}
     return None

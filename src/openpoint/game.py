@@ -15,7 +15,15 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .space import FiniteSpace, TooLarge, bits, minimal_opens, popcount
+from .space import (
+    FiniteSpace,
+    TooLarge,
+    bits,
+    inclusion_minimal,
+    minimal_opens,
+    popcount,
+    subset_points,
+)
 
 INFINITE = math.inf
 
@@ -92,14 +100,26 @@ class StrategyTable:
     (``capped_table``, ``value_function``); on D4 x D4 the value from the
     empty state solves 17 of the 2^16 states.  ``solve_game`` turns the
     cut off, so its table holds every state reachable from the empty one.
+
+    Given a set S = ``within`` of the space's points, the table solves the
+    game on the subspace S in the space's own coordinates, and builds no
+    subspace.  On S the smallest open around x is the trace N(x) & S, and
+    cl_S{x} = cl{x} & S.  So the replies are the inclusion-minimal traces
+    m, each with ``cl(m) & S``; the terminal state is S, and the floor
+    counts |S| points in place of n.  ``subspace(space, S)`` relabels S by
+    an increasing map, which keeps the numeric order of masks: the reply
+    order, the floor, every value and every best move are the relabeled
+    subspace table's.  Without ``within`` the table solves the whole space.
     """
 
-    def __init__(self, space: FiniteSpace):
+    def __init__(self, space: FiniteSpace, within: int | None = None):
+        within = space.full if within is None else within
         self.space = space
-        self.value: dict[int, float] = {space.full: 0}
+        self.value: dict[int, float] = {within: 0}
         self.best_move: dict[int, int] = {}
-        self._replies = _reply_closures(space)
+        self._replies = _reply_closures(space, within)
         self._widest = max((add.bit_count() for _, add in self._replies), default=1)
+        self._last = within.bit_count() - 1
         self._cut = True
 
     @property
@@ -112,7 +132,7 @@ class StrategyTable:
         if got is not None:
             return got
         get, replies = value.get, self._replies
-        cut, widest, last = self._cut, self._widest, self.space.n - 1
+        cut, widest, last = self._cut, self._widest, self._last
 
         def visit(closed: int) -> float:
             best_val, best_mv = INFINITE, None
@@ -125,8 +145,9 @@ class StrategyTable:
                     val = visit(nxt)
                 if val < best_val:
                     best_val, best_mv = val, m
-                    # a state of k points has the floor ceil((n - k) / widest),
-                    # which a next state worth (n - 1 - k) // widest meets
+                    # a state of k of its |S| points has the floor
+                    # ceil((|S| - k) / widest), which a next state worth
+                    # (|S| - 1 - k) // widest meets
                     if cut and val <= (last - closed.bit_count()) // widest:
                         break
             value[closed] = best_val + 1
@@ -147,30 +168,41 @@ class StrategyTable:
             yield rec
 
 
-def _reply_closures(space: FiniteSpace) -> list[tuple[int, int]]:
-    """``(m, cl(m))`` per minimal open m, in the order of ``minimal_opens``.
+def _reply_closures(space: FiniteSpace, within: int) -> list[tuple[int, int]]:
+    """``(m, cl(m) & within)`` per minimal open m of the subspace ``within``.
 
-    Offering m at ``closed`` leads to ``closed | cl(m)`` whatever the picker
-    takes from m; ``cl(m)`` is read off its lowest point.
+    The m are the inclusion-minimal traces N(x) & within, in increasing
+    mask order; on the whole space they are the memoized ``minimal_opens``.
+    Offering m at ``closed`` leads to ``closed | cl(m) & within`` whatever
+    the picker takes from m; ``cl(m)`` is read off its lowest point.
     """
+    if within == space.full:
+        mins = minimal_opens(space)
+    else:
+        rows = space.nbhds
+        mins = inclusion_minimal([rows[x] & within for x in subset_points(space, within)])
     clpt = space.point_closures()
-    return [(m, clpt[(m & -m).bit_length() - 1]) for m in minimal_opens(space)]
+    return [(m, clpt[(m & -m).bit_length() - 1] & within) for m in mins]
 
 
-def capped_table(space: FiniteSpace) -> StrategyTable:
+def capped_table(space: FiniteSpace, within: int | None = None) -> StrategyTable:
     """A lazy ``StrategyTable``, for callers that need a value or a line.
 
-    ``solved_gd`` (and through it ``subspace-monotone`` and the metric
-    checks) and optimal play in ``openpoint play`` read it.  Its states are
-    unions of at most |minimal opens| closures, since a pick's closure is
-    the closure of its whole minimal open.  Raises TooLarge when that
-    2^|minimal opens| bound passes ``STATES_CAP``: the floor cuts the
-    search only where a reply meets it, so the bound stays the cap.
+    ``solved_gd`` (and through it the metric checks), the subspace solves
+    of ``subspace-monotone`` (``within`` a set of points, as in
+    ``StrategyTable``) and optimal play in ``openpoint play`` read it.  Its
+    states are unions of at most r reply closures, r the number of
+    replies (the minimal opens, or on a subspace the minimal traces),
+    since a pick's closure is the closure of its whole minimal open.
+    Raises TooLarge when that 2^r bound passes ``STATES_CAP``: the floor
+    cuts the search only where a reply meets it, so the bound stays the
+    cap.
     """
-    most = len(minimal_opens(space))
+    table = StrategyTable(space, within)
+    most = len(table._replies)
     if 1 << most > STATES_CAP:
         raise TooLarge(f"a solve may visit 2^{most} states, over the cap of {STATES_CAP}")
-    return StrategyTable(space)
+    return table
 
 
 def solve_game(space: FiniteSpace) -> StrategyTable:
@@ -210,7 +242,7 @@ def exact_force_set(space: FiniteSpace) -> frozenset[int]:
     the restricted rule, the formulation under which outcomes are unchanged
     and the recursion is well-founded.
     """
-    replies = _reply_closures(space)
+    replies = _reply_closures(space, space.full)
     memo: dict[int, frozenset[int]] = {space.full: frozenset({0})}
 
     def visit(closed: int) -> frozenset[int]:

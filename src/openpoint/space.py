@@ -312,21 +312,34 @@ def _compress(mask: int, members: list[int]) -> int:
     return out
 
 
+def subset_points(space: FiniteSpace, subset: int) -> list[int]:
+    """The points of ``subset`` in increasing order, once it is checked.
+
+    ``subset`` must be a non-empty set of the space's points: 0 raises
+    EmptySubspace, any other mask outside 1..full raises TopologyError.
+    """
+    if subset == 0:
+        raise EmptySubspace("cannot take the subspace on the empty set")
+    if not 0 < subset <= space.full:
+        raise TopologyError(f"subset mask {subset} is not a set of the {space.n} points")
+    return list(bits(subset))
+
+
 def subspace(space: FiniteSpace, subset: int) -> FiniteSpace:
     """The subspace topology on ``subset``, re-indexed to points 0..k-1.
 
     The trace N(x) & subset is the smallest open of the subspace around x,
     and the traces stay reflexive and transitive, so they are handed to
     ``from_preorder`` as rows; the subspace's lattice is enumerated only
-    if something reads it.  ``subset`` must be a non-empty set of the
-    space's points: 0 raises EmptySubspace, any other mask outside
-    1..full raises TopologyError.
+    if something reads it.  ``subset`` is checked by ``subset_points``.
+
+    No route of the package calls it: the game on a subspace is solved in
+    the space's own coordinates (``game.StrategyTable`` with ``within``),
+    and each dense set's density is read off ``closures``.  It stays public,
+    the reference that those routes are tested against, and
+    ``perfbench/tracing.py`` counts its calls.
     """
-    if subset == 0:
-        raise EmptySubspace("cannot take the subspace on the empty set")
-    if not 0 < subset <= space.full:
-        raise TopologyError(f"subset mask {subset} is not a set of the {space.n} points")
-    members = list(bits(subset))
+    members = subset_points(space, subset)
     rows = [_compress(space.nbhds[x] & subset, members) for x in members]
     labels = tuple(space.point_labels[i] for i in members)
     return from_preorder(rows, f"{space.name}|sub", labels)

@@ -270,3 +270,12 @@ def test_suite_report_n4_is_pinned():
     assert hashlib.sha256(report.encode()).hexdigest() == (
         "d73a092b9b6b8eff3ee84ea9df9680d53ba334b5c2872fd7e9916011a5059417"
     ), "the n = 4 suite report changed"
+
+
+@pytest.mark.slow
+def test_suite_report_n5_is_pinned():
+    code, report = _suite_report(5)
+    assert code == 0
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "473f58696bb347c3d1f783bf44f266a683b82297a5fc6e5f30e0c89c47d9c356"
+    ), "the n = 5 suite report changed"

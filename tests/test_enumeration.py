@@ -13,6 +13,7 @@ from openpoint.enumeration import (
     _check_exact_force,
     _check_metric,
     _check_oracles,
+    _check_subspace_monotone,
     _check_variants,
     _shortest_play,
     canonical_form,
@@ -22,7 +23,7 @@ from openpoint.enumeration import (
 )
 from openpoint.game import GameVariant
 from openpoint.products import FanStatus
-from openpoint.space import TooLarge, bits, is_dense, space_from_masks
+from openpoint.space import FiniteSpace, TooLarge, bits, is_dense, space_from_masks
 from openpoint.strategies import dense_point_picker
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski, make_two_sierpinski
@@ -75,8 +76,8 @@ BROKEN_ROUTES = [
     ("value-monotone", "solve_game",  # the empty state claims the game is over
      lambda real: lambda space: SimpleNamespace(value={**real(space).value, 0: 0}),
      {"larger": 0b0011, "smaller": 0}),
-    ("subspace-monotone", "subspace",  # a subspace with more minimal opens
-     lambda real: lambda space, s: make_discrete(space.n + 1),
+    ("subspace-monotone", "capped_table",  # a subspace with more minimal opens
+     lambda real: lambda space, within: real(make_discrete(space.n + 1)),
      {"subset": 0b0010, "sub_gd": 5, "gd": 2}),
     ("dense-lower-bound", "dense_densities",
      lambda real: lambda space: ((a, d + 1) for a, d in real(space)),
@@ -255,14 +256,21 @@ class TestSuite:
         assert _check_dense_lower_bound(space) is None
         assert made == list(range(1, space.full + 1))  # every non-empty set is dense
 
-    def test_dense_lower_bound_builds_no_subspace(self, monkeypatch, labeled_corpus):
+    @staticmethod
+    def _assert_builds_no_space(monkeypatch, corpus, check):
         def boom(*args, **kwargs):
-            raise AssertionError("dense-lower-bound built a subspace")
+            raise AssertionError(f"{check.__name__} built a space")
 
-        monkeypatch.setattr(enumeration, "subspace", boom)
-        for spaces_n in labeled_corpus.values():
+        monkeypatch.setattr(FiniteSpace, "__init__", boom)
+        for spaces_n in corpus.values():
             for space in spaces_n:
-                assert _check_dense_lower_bound(space) is None, space.name
+                assert check(space) is None, space.name
+
+    def test_dense_lower_bound_builds_no_subspace(self, monkeypatch, labeled_corpus):
+        self._assert_builds_no_space(monkeypatch, labeled_corpus, _check_dense_lower_bound)
+
+    def test_subspace_monotone_builds_no_subspace(self, monkeypatch, labeled_corpus):
+        self._assert_builds_no_space(monkeypatch, labeled_corpus, _check_subspace_monotone)
 
     @pytest.mark.parametrize("check, route, breaking, payload", BROKEN_ROUTES,
                              ids=[f"{c}-{r}" for c, r, _, _ in BROKEN_ROUTES])

@@ -24,7 +24,16 @@ from openpoint.game import (
 from openpoint.invariants import delta, density
 from openpoint.products import product
 from openpoint.enumeration import enumerate_labeled
-from openpoint.space import FiniteSpace, TooLarge, minimal_opens, validate_topology
+from openpoint.space import (
+    EmptySubspace,
+    FiniteSpace,
+    TooLarge,
+    TopologyError,
+    _compress,
+    minimal_opens,
+    subspace,
+    validate_topology,
+)
 
 from .conftest import make_chain, make_cli_class_factors, make_discrete, make_indiscrete
 from .game_oracle import oracle_values
@@ -282,17 +291,25 @@ class TestFloor:
     # The lemma needs only that a stage adds at most ``a`` points, so it is
     # checked on reply lists whose replies differ, where a floor set too
     # high would stop at a worse reply.
-    def test_a_later_reply_can_be_the_best(self, monkeypatch):
+    def _assert_a_later_reply_wins(self, monkeypatch, space, within=None):
         import openpoint.game as game
 
         p = [1 << i for i in range(6)]
         # the first reply leaves five points, which take two more stages;
         # the second leaves three, which the third closes in one
         replies = [(p[0], p[0]), (p[1], p[1] | p[2] | p[3]), (p[4], p[0] | p[4] | p[5])]
-        monkeypatch.setattr(game, "_reply_closures", lambda space: replies)
-        lazy = capped_table(make_discrete(6))
+        monkeypatch.setattr(game, "_reply_closures", lambda space, within: replies)
+        lazy = capped_table(space, within)
         assert (lazy.gd, lazy.best_move[0]) == (2, p[1])
         self._assert_agrees(lazy, *_full_scan(replies, (1 << 6) - 1))
+
+    def test_a_later_reply_can_be_the_best(self, monkeypatch):
+        self._assert_a_later_reply_wins(monkeypatch, make_discrete(6))
+
+    def test_a_trace_floor_counts_its_own_points(self, monkeypatch):
+        # the same replies on 6 of 7 points: a floor that counted all 7
+        # would stop at the first reply
+        self._assert_a_later_reply_wins(monkeypatch, make_discrete(7), (1 << 6) - 1)
 
     @given(reply_lists())
     @settings(max_examples=200)
@@ -301,7 +318,7 @@ class TestFloor:
 
         n, replies = case
         real = game._reply_closures
-        game._reply_closures = lambda space: replies
+        game._reply_closures = lambda space, within: replies
         try:
             lazy = capped_table(make_discrete(n))
         finally:
@@ -312,6 +329,53 @@ class TestFloor:
         # D3 x D7: 21 minimal opens, one past the 2^20 bound
         with pytest.raises(TooLarge, match="2\\^21 states"):
             capped_table(product([make_discrete(3), make_discrete(7)]).space)
+
+
+class TestTrace:
+    """The table ``within`` S against the table of ``subspace(space, S)``.
+
+    ``subspace`` re-indexes S by ``_compress``, an increasing map, so the
+    trace table relabeled by it must be that subspace's table exactly.  The
+    trace table is completed as in ``TestFloor``: its lazy solve, then
+    every state of the subspace's complete table, mapped back into S.
+    """
+
+    @staticmethod
+    def _relabeled(table, s):
+        members = list(_points(s))
+        return ({_compress(c, members): v for c, v in table.value.items()},
+                {_compress(c, members): _compress(m, members) for c, m in table.best_move.items()})
+
+    def test_complete_tables_match_every_subspace(self, labeled_corpus):
+        for space in [s for n in range(1, 5) for s in labeled_corpus[n]]:
+            for s in range(1, space.full + 1):
+                members = list(_points(s))
+                sub, trace = solve_game(subspace(space, s)), capped_table(space, s)
+                assert trace.gd == sub.gd
+                for c in sub.value:
+                    trace(sum(1 << members[i] for i in _points(c)))
+                assert all(c & s == c for c in [*trace.value, *trace.best_move.values()])
+                assert self._relabeled(trace, s) == (sub.value, sub.best_move), (space, s)
+
+    def test_gd_on_the_oracle_corpus(self, oracle_corpus):
+        five = [space for space in oracle_corpus if space.n == 5]
+        assert len(five) == 992
+        for space in five:
+            for s in range(1, space.full + 1):
+                assert capped_table(space, s).gd == solved_gd(subspace(space, s)), (space, s)
+
+    def test_the_cap_counts_the_trace_replies(self):
+        # D3 x D7: 21 minimal opens; a trace on 20 of the points has 20
+        space = product([make_discrete(3), make_discrete(7)]).space
+        with pytest.raises(TooLarge, match="2\\^21 states"):
+            capped_table(space, space.full)
+        for x in range(space.n):
+            assert capped_table(space, space.full & ~(1 << x)).gd == 20
+
+    @pytest.mark.parametrize("within, error", [(0, EmptySubspace), (-1, TopologyError), (0b100, TopologyError)])
+    def test_within_must_be_a_set_of_points(self, sierpinski, within, error):
+        with pytest.raises(error):
+            capped_table(sierpinski, within)
 
 
 class TestReplyList:
