@@ -313,16 +313,22 @@ def cmd_enumerate(args, out, *_):
 
 
 def cmd_suite(args, out, err, *_):
+    """Write each record as it arrives, then the pass count to stderr; exit 2 if a check failed.
+
+    Bad input fails before any record.  If a check raises, the records
+    already on stdout stay there; a ``--report`` file is removed.
+    """
     with _output(args.report, out) as stream:
         try:
-            ok, records = enumeration.verify_suite(args.n, checks=args.checks, seed=args.seed)
+            records = enumeration.verify_suite(args.n, checks=args.checks, seed=args.seed)
         except enumeration.UnknownChecks as exc:
             raise UsageError(str(exc)) from exc
-        for rec in records:
+        passed = total = 0
+        for total, rec in enumerate(records, 1):
             _emit(stream, rec, args.format)
-    passed = sum(1 for r in records if r["status"] == "pass")
-    err.write(f"{passed}/{len(records)} checks passed\n")
-    return 0 if ok else 2
+            passed += rec["status"] == "pass"
+    err.write(f"{passed}/{total} checks passed\n")
+    return 0 if passed == total else 2
 
 
 def cmd_product(args, out, *_):

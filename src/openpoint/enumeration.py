@@ -10,7 +10,9 @@ is the whole point.
 from __future__ import annotations
 
 from functools import cache
+from heapq import merge
 from itertools import permutations
+from operator import attrgetter, itemgetter
 
 from .game import (
     GameVariant,
@@ -66,24 +68,11 @@ def _family_closure_masks(n: int):
     if n > FAMILY_METHOD_CAP:
         raise TooLarge(f"family-closure generation is capped at n = {FAMILY_METHOD_CAP}")
     full = (1 << n) - 1
-    middles = [m for m in range(1, full)]
     out = []
-    for code in range(1 << len(middles)):
-        chosen = [m for i, m in enumerate(middles) if code >> i & 1]
-        family = set(chosen)
-        family.add(0)
-        family.add(full)
-        ok = True
-        fam = sorted(family)
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                if a | b not in family or a & b not in family:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(fam))
+    for code in range(1 << (full - 1)):  # bit m - 1 of code: the set m is in the family
+        family = {0, full, *(m for m in range(1, full) if code >> (m - 1) & 1)}
+        if all(a | b in family and a & b in family for a in family for b in family):
+            out.append(tuple(sorted(family)))
     return sorted(out)
 
 
@@ -96,7 +85,7 @@ def _preorder_masks(n: int):
     Every pair of points is checked once, so each completed choice is a
     preorder, and no two are the same; distinct preorders have distinct
     up-sets, so no family repeats.  The families are validated once, as
-    spaces, by ``enumerate_labeled``.
+    spaces, by ``_labeled_space``.
     """
     if n > PREORDER_METHOD_CAP:
         raise TooLarge(f"preorder generation is capped at n = {PREORDER_METHOD_CAP}")
@@ -123,8 +112,8 @@ def _preorder_masks(n: int):
     return sorted(out)
 
 
-def enumerate_labeled(n: int, method: str = "preorder"):
-    """Yield every topology on n labeled points, in canonical order.
+def _labeled_families(n: int, method: str = "preorder"):
+    """The open families of every topology on n labeled points, sorted.
 
     ``method``: "family" (n <= 4), "preorder" (n <= 5), or "both", which
     cross-validates the two generators and fails loudly if they disagree.
@@ -132,18 +121,25 @@ def enumerate_labeled(n: int, method: str = "preorder"):
     if not 1 <= n <= PREORDER_METHOD_CAP:
         raise TooLarge(f"labeled enumeration supports 1 <= n <= {PREORDER_METHOD_CAP}")
     if method == "family":
-        families = _family_closure_masks(n)
-    elif method == "preorder":
-        families = _preorder_masks(n)
-    elif method == "both":
-        families = _preorder_masks(n)
-        if families != _family_closure_masks(n):
-            raise AssertionError("the two topology generators disagree")
-    else:
+        return _family_closure_masks(n)
+    if method not in ("preorder", "both"):
         raise ValueError(f"unknown enumeration method {method!r}")
+    families = _preorder_masks(n)
+    if method == "both" and families != _family_closure_masks(n):
+        raise AssertionError("the two topology generators disagree")
+    return families
+
+
+def _labeled_space(labels, idx: int, family) -> FiniteSpace:
+    """``T{n}.{idx}``, the idx-th family validated once, on n ``labels`` its callers share."""
+    return space_from_masks(f"T{len(labels)}.{idx}", labels, family)
+
+
+def enumerate_labeled(n: int, method: str = "preorder"):
+    """Yield every topology on n labeled points, in canonical order, from ``method``."""
     labels = _label_names(n)
-    for idx, fam in enumerate(families):
-        yield space_from_masks(f"T{n}.{idx}", labels, fam)
+    for idx, fam in enumerate(_labeled_families(n, method)):
+        yield _labeled_space(labels, idx, fam)
 
 
 @cache
@@ -175,15 +171,9 @@ def enumerate_unlabeled(n: int, method: str = "preorder"):
 
     ``method`` picks the labeled generator, as in ``enumerate_labeled``.
     """
-    seen = set()
-    reps = []
-    for space in enumerate_labeled(n, method=method):
-        form = canonical_form(space)
-        if form not in seen:
-            seen.add(form)
-            reps.append(form)
+    reps = sorted({canonical_form(space) for space in enumerate_labeled(n, method=method)})
     labels = _label_names(n)
-    for idx, fam in enumerate(sorted(reps)):
+    for idx, fam in enumerate(reps):
         yield space_from_masks(f"U{n}.{idx}", labels, fam)
 
 
@@ -229,12 +219,9 @@ def _check_minimal_opens(space):
 
 def _check_chain(space):
     rep = invariant_report(space)
-    ok = rep.chain_ok
-    if space.n >= 2:
-        ok = ok and rep.w <= (1 << space.n) - 2
-    if not ok:
-        return rep.as_record(space)
-    return None
+    if rep.chain_ok and (space.n < 2 or rep.w <= space.full - 1):
+        return None
+    return rep.as_record(space)
 
 
 def _oracle(space, key: str) -> int:
@@ -310,15 +297,17 @@ def _check_subspace_monotone(space):
     subspaces, so those are the subjects.  On them the regularity identity
     cl(int(cl S)) = cl S holds by itself: for an open U, U lies in
     int(cl U), which lies in cl U; for a dense D, cl D is the whole space.
-    So a failed identity points at a wrong closure table.  Each subspace's gd
+    So a failed identity points at a wrong closure table.  The whole space
+    is no subject: gd <= gd cannot fail, and its identity is cl(X) = X,
+    which ``kuratowski`` checks.  Each subspace's gd
     comes from the solver, its oracle here, on a table ``within`` S in the
     space's own coordinates (the trace lemma of ``StrategyTable``), so no
     subspace is built; ``space.subspace`` is the tests' reference for it.
     """
     gd = solved_gd(space)
     cls = closures(space)
-    subjects = {u for u in space.opens if u}
-    subjects |= {a for a in range(1, space.full + 1) if cls[a] == space.full}
+    subjects = {u for u in space.opens if 0 < u < space.full}
+    subjects |= {a for a in range(1, space.full) if cls[a] == space.full}
     for s in sorted(subjects):
         cl_s = cls[s]
         if cls[interior(space, cl_s)] != cl_s:
@@ -456,55 +445,60 @@ class UnknownChecks(ValueError):
 
 
 def verify_suite(n: int, checks="all", seed: int = 0):
-    """Run the selected checks over the exhaustive corpus for size n.
+    """Stream one record per (subject, check) for ``checks`` ("all" or names joined by commas).
 
-    Space-level checks run on every labeled topology of exactly n points;
-    pair-level checks run over all ordered pairs built from factors of at
-    most min(n, PAIR_CAP) points.  Returns (ok, records): one record per
-    (subject, check) with a pass/fail status and a counterexample payload
-    on failure.  Failures are data, not exceptions.
+    Space-level checks run on every labeled topology of exactly n points,
+    pair-level checks on every ordered pair of factors of at most
+    min(n, PAIR_CAP) points, ``metric`` once on the seeded pseudometric
+    corpus.  A record has a pass/fail status and, on failure, a
+    counterexample payload: failures are data, not exceptions.
+
+    The selection and n are checked before the stream starts (an unknown
+    check raises ``UnknownChecks``, n outside 1..5 ``TooLarge``).  Report
+    order is (subject, check) as strings: ``T5.10`` comes before ``T5.2``,
+    and at n <= 3 the pair subjects (``T3.0*T1.0``) fall between the space
+    subjects.  A space is built when its subject is reached and dropped
+    after its checks: one n-point space is live at a time, and the pair factors.
     """
-    live_space = dict(SPACE_CHECKS)
-    live_pair = dict(PAIR_CHECKS)
-    want_metric = True
-    if checks != "all":
-        wanted = set(checks.split(",")) if isinstance(checks, str) else set(checks)
-        unknown = wanted - set(live_space) - set(live_pair) - {"metric"}
-        if unknown:
-            raise UnknownChecks(f"unknown checks: {sorted(unknown)}")
-        live_space = {k: v for k, v in live_space.items() if k in wanted}
-        live_pair = {k: v for k, v in live_pair.items() if k in wanted}
-        want_metric = "metric" in wanted
+    registry = {**SPACE_CHECKS, **PAIR_CHECKS, "metric": _check_metric}
+    wanted = set(registry) if checks == "all" else set(checks.split(","))
+    unknown = wanted - registry.keys()
+    if unknown:
+        raise UnknownChecks(f"unknown checks: {sorted(unknown)}")
+    families, labels = _labeled_families(n), _label_names(n)
+    spaces = ((f"T{n}.{i}", (_labeled_space(labels, i, families[i]),))
+              for i in sorted(range(len(families)), key=str))
+    return merge(
+        _checked(registry, wanted & SPACE_CHECKS.keys(), spaces),
+        _checked(registry, wanted & PAIR_CHECKS.keys(), _pair_subjects(min(n, PAIR_CAP))),
+        _checked(registry, wanted & {"metric"}, [("metric-corpus", (seed,))]),
+        key=itemgetter("subject"),
+    )
 
-    pair_spaces = [
-        s for size in range(1, min(n, PAIR_CAP) + 1) for s in enumerate_labeled(size)
-    ]
-    jobs = [
-        (space.name, name, fn, (space,))
-        for space in enumerate_labeled(n)
-        for name, fn in live_space.items()
-    ]
-    jobs += [
-        (f"{x.name}*{y.name}", name, fn, (x, y))
-        for x in pair_spaces
-        for y in pair_spaces
-        for name, fn in live_pair.items()
-    ]
-    if want_metric:
-        jobs.append(("metric-corpus", "metric", _check_metric, (seed,)))
 
-    records = []
-    for subject, name, fn, args in jobs:
-        detail = fn(*args)
-        note = None
-        if isinstance(detail, dict) and set(detail) == {"_note"}:
-            note, detail = detail["_note"], None
-        rec = {"subject": subject, "check": name, "status": "fail" if detail else "pass"}
-        if detail:
-            rec["detail"] = detail
-        if note:
-            rec["note"] = note
-        records.append(rec)
-    records.sort(key=lambda r: (r["subject"], r["check"]))
-    ok = all(r["status"] == "pass" for r in records)
-    return ok, records
+def _pair_subjects(size: int):
+    """(name, (x, y)) per ordered pair of factors of at most ``size`` points, in name order."""
+    # '*' sorts below every character of a space name: factor name order is subject order
+    factors = sorted((s for k in range(1, size + 1) for s in enumerate_labeled(k)),
+                     key=attrgetter("name"))
+    for x in factors:
+        for y in factors:
+            yield f"{x.name}*{y.name}", (x, y)
+
+
+def _checked(registry, names, subjects):
+    """The records of each (subject, args) of ``subjects``: the checks ``names``, in name order.
+
+    ``subjects`` is not read when ``names`` is empty.
+    """
+    checks = [(name, registry[name]) for name in sorted(names)]
+    for subject, args in subjects if checks else ():
+        for name, fn in checks:
+            detail = fn(*args)
+            note = detail.pop("_note", None) if isinstance(detail, dict) else None
+            rec = {"subject": subject, "check": name, "status": "fail" if detail else "pass"}
+            if detail:
+                rec["detail"] = detail
+            if note:
+                rec["note"] = note
+            yield rec

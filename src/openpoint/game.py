@@ -343,7 +343,9 @@ def evaluate_chooser(space: FiniteSpace, policy, variant: GameVariant = GameVari
         memo[key] = val + 1
         return val + 1
 
-    return worst(0, chooser.initial_state())
+    value = worst(0, chooser.initial_state())
+    del worst  # empties its own cell: no reference cycle keeps the space alive
+    return value
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,37 @@ class TestSuite:
         code, out, err = invoke(["suite", "--n", "3", "--report", str(report)])
         assert code == 1 and not out and "cannot write" in err
 
+    @pytest.mark.parametrize("argv", [["--n", "5", "--checks", "chain,nope"], ["--n", "-1"],
+                                      ["--n", "0"], ["--n", "6"]],
+                             ids=["unknown-check", "n=-1", "n=0", "n=6"])
+    def test_bad_input_is_refused_before_any_space_is_built(self, monkeypatch, argv):
+        from openpoint.space import FiniteSpace
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a space was built before the input was checked")
+
+        monkeypatch.setattr(FiniteSpace, "__init__", boom)
+        code, out, err = invoke(["suite", *argv])
+        assert code == 1 and not out and "error: " in err
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["report", "stdout"])
+    def test_records_before_a_crash_stay_on_stdout_only(self, tmp_path, monkeypatch, to_file):
+        from openpoint import enumeration
+
+        def broken(space):
+            if space.name == "T2.1":
+                raise ValueError("a bug, not bad input")
+
+        monkeypatch.setitem(enumeration.SPACE_CHECKS, "chain", broken)
+        report = tmp_path / "r.ndjson"
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(ValueError, match="a bug"):
+            run(["suite", "--n", "2", "--checks", "chain"]
+                + (["--report", str(report)] if to_file else []), out=out, err=err)
+        assert not report.exists()
+        written = [r["subject"] for r in ndjson_lines(out.getvalue())]
+        assert written == ([] if to_file else ["T2.0"])
+
     def test_error_inside_a_check_propagates(self, monkeypatch):
         from openpoint import enumeration
 

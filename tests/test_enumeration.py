@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 from itertools import permutations
 from types import SimpleNamespace
@@ -113,6 +114,12 @@ def _subject(check):
     return (0,)
 
 
+def _suite(n, checks):
+    """Whether every record of the suite's stream passed, and the records."""
+    records = list(verify_suite(n, checks=checks))
+    return all(r["status"] == "pass" for r in records), records
+
+
 class TestLabeled:
     @pytest.mark.parametrize("n,count", sorted(LABELED_COUNTS.items()))
     def test_counts_both_generators(self, n, count, labeled_corpus):
@@ -194,13 +201,13 @@ class TestCanonicalForm:
 
 class TestSuite:
     def test_chain_check_all_three_point_spaces(self):
-        ok, records = verify_suite(3, checks="chain")
+        ok, records = _suite(3, "chain")
         assert ok
         assert len(records) == 29
         assert all(r["status"] == "pass" for r in records)
 
     def test_variant_check_two_point_spaces(self):
-        ok, records = verify_suite(2, checks="variants")
+        ok, records = _suite(2, "variants")
         assert ok and len(records) == 4
 
     def test_variant_check_reads_the_solved_gd(self, monkeypatch):
@@ -229,11 +236,11 @@ class TestSuite:
 
     def test_monotonicity_checks_whole_corpus(self):
         for n, count in [(1, 1), (2, 4), (3, 29), (4, 355)]:
-            ok, records = verify_suite(n, checks="subspace-monotone,value-monotone")
+            ok, records = _suite(n, "subspace-monotone,value-monotone")
             assert ok and len(records) == 2 * count
 
     def test_dense_lower_bound_check_four_points(self):
-        ok, records = verify_suite(4, checks="dense-lower-bound")
+        ok, records = _suite(4, "dense-lower-bound")
         assert ok and len(records) == 355
 
     def test_shortest_play_matches_the_unremembered_walk(self, labeled_corpus):
@@ -272,6 +279,59 @@ class TestSuite:
     def test_subspace_monotone_builds_no_subspace(self, monkeypatch, labeled_corpus):
         self._assert_builds_no_space(monkeypatch, labeled_corpus, _check_subspace_monotone)
 
+    def test_subspace_monotone_never_solves_the_whole_space(self, monkeypatch, labeled_corpus):
+        real, seen = enumeration.capped_table, []
+
+        def spy(space, within):
+            seen.append((space, within))
+            return real(space, within)
+
+        monkeypatch.setattr(enumeration, "capped_table", spy)
+        for spaces_n in labeled_corpus.values():
+            for space in spaces_n:
+                assert _check_subspace_monotone(space) is None, space.name
+        assert len(seen) > 355
+        assert all(within != space.full for space, within in seen)
+
+    def test_records_stream_in_report_order(self):
+        # at n = 3 the pair subjects fall between the space subjects
+        records = list(verify_suite(3, checks="product-pi,chain,metric"))
+        keys = [(r["subject"], r["check"]) for r in records]
+        assert keys == sorted(set(keys))
+        assert len(keys) == 29 + 34 * 34 + 1
+        assert keys.index(("T3.1*T1.0", "product-pi")) < keys.index(("T3.10", "chain"))
+        assert keys.index(("T3.10", "chain")) < keys.index(("T3.2", "chain"))
+
+    @staticmethod
+    def _count_spaces(monkeypatch, n):
+        """Every n-point space built from now on: (how many, a weak set of those alive)."""
+        real, built, alive = FiniteSpace.__init__, [], weakref.WeakSet()
+
+        def counted(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            if self.n == n:
+                built.append(self.name)
+                alive.add(self)
+
+        monkeypatch.setattr(FiniteSpace, "__init__", counted)
+        return built, alive
+
+    def test_one_space_is_alive_at_each_record(self, monkeypatch):
+        built, alive = self._count_spaces(monkeypatch, 4)
+        records = 0
+        for rec in verify_suite(4, checks=",".join(SPACE_CHECKS)):
+            assert len(alive) <= 1, rec
+            records += 1
+        assert records == 355 * len(SPACE_CHECKS)
+        assert sum(name.startswith("T4.") for name in built) == 355
+
+    def test_first_record_comes_before_a_second_space(self, monkeypatch):
+        built, _ = self._count_spaces(monkeypatch, 5)
+        stream = verify_suite(5, checks="chain")
+        assert built == []
+        assert next(stream)["subject"] == "T5.0"
+        assert len(built) == 1
+
     @pytest.mark.parametrize("check, route, breaking, payload", BROKEN_ROUTES,
                              ids=[f"{c}-{r}" for c, r, _, _ in BROKEN_ROUTES])
     def test_every_check_can_fail(self, monkeypatch, check, route, breaking, payload):
@@ -281,9 +341,9 @@ class TestSuite:
         assert fn(*_subject(check)) == payload
 
     def test_one_point_space_all_space_checks(self):
-        ok, records = verify_suite(
+        ok, records = _suite(
             1,
-            checks="kuratowski,roundtrip,minimal-opens,chain,collapse,oracles,"
+            "kuratowski,roundtrip,minimal-opens,chain,collapse,oracles,"
                    "variants,exact-force,pi-base-bound,value-monotone,"
                    "subspace-monotone,dense-lower-bound",
         )
@@ -308,7 +368,7 @@ class TestSuite:
             verify_suite(2, checks="no-such-check")
 
     def test_pair_checks_tiny(self):
-        ok, records = verify_suite(2, checks="product-pi,product-strategies")
+        ok, records = _suite(2, "product-pi,product-strategies")
         assert ok
         pair_records = [r for r in records if "*" in r["subject"]]
         assert len(pair_records) == 5 * 5 * 2
