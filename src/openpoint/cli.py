@@ -18,7 +18,7 @@ from math import prod as size_product
 from . import enumeration, metric, products, strategies
 from .game import (
     GameVariant,
-    capped_table,
+    StrategyTable,
     first_point_picker,
     random_picker,
     run_game,
@@ -269,7 +269,7 @@ def cmd_play(args, out, err, stdin):
         space = prod.space if prod else spaces_list[0]
         table = None
         if "optimal" in (args.chooser, args.picker):
-            table = capped_table(space)
+            table = StrategyTable(space)
         chooser, agg = _build_chooser(args, spaces_list, prod, table)
         picker = _build_picker(args, space, table)
         if picker is None:

@@ -16,7 +16,7 @@ from operator import attrgetter, itemgetter
 
 from .game import (
     GameVariant,
-    capped_table,
+    StrategyTable,
     evaluate_chooser,
     exact_force_set,
     solve_game,
@@ -312,7 +312,7 @@ def _check_subspace_monotone(space):
         cl_s = cls[s]
         if cls[interior(space, cl_s)] != cl_s:
             return {"subset": s, "reason": "regularity identity failed"}
-        sub_gd = capped_table(space, s).gd
+        sub_gd = StrategyTable(space, s).gd
         if sub_gd > gd:
             return {"subset": s, "sub_gd": sub_gd, "gd": gd}
     return None
@@ -344,7 +344,9 @@ def _shortest_play(space, picker) -> int:
             got = memo[closed] = 1 + min(after)
         return got
 
-    return shortest(0)
+    stages = shortest(0)
+    del shortest  # empties its own cell: no reference cycle keeps the memo alive
+    return stages
 
 
 def _check_dense_lower_bound(space):

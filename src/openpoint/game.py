@@ -86,7 +86,8 @@ class StrategyTable:
     m, one point or any non-empty subset, leads to the same state
     ``closed | cl(m)``: one table serves every ``GameVariant``.
     The reply list ``(m, cl(m))`` is built once per table; solving a state
-    is one pass over it that reads the memo before it recurses.
+    is one pass over it that reads the memo before it descends, on an
+    explicit stack of the states still open rather than by recursion.
 
     The pass stops at the first reply that meets the state's floor.  Every
     stage adds some ``cl(m)``, so it closes at most ``a = max |cl(m)|`` new
@@ -96,10 +97,14 @@ class StrategyTable:
     stored value is exact, and each best move is the one a complete scan
     picks.  The floor is a counting fact, not the collapse
     gd = |minimal opens| that this solver is the oracle for.  Callers that
-    need a value or a line get this lazy table
-    (``capped_table``, ``value_function``); on D4 x D4 the value from the
-    empty state solves 17 of the 2^16 states.  ``solve_game`` turns the
-    cut off, so its table holds every state reachable from the empty one.
+    need a value or a line get this lazy table (``solved_gd``,
+    ``value_function``, optimal play); on D4 x D4 the value from the empty
+    state solves 17 of the 2^16 states.  ``solve_game`` turns the cut off,
+    so its table holds every state reachable from the empty one.
+
+    A table holds at most ``STATES_CAP`` states: storing one more raises
+    TooLarge, naming the cap.  It counts the states solved, not a bound on
+    them, so a table is refused only once it has done that much work.
 
     Given a set S = ``within`` of the space's points, the table solves the
     game on the subspace S in the space's own coordinates, and builds no
@@ -131,31 +136,37 @@ class StrategyTable:
         got = value.get(closed)
         if got is not None:
             return got
-        get, replies = value.get, self._replies
-        cut, widest, last = self._cut, self._widest, self._last
-
-        def visit(closed: int) -> float:
-            best_val, best_mv = INFINITE, None
-            for m, add in replies:
-                if m & closed:
+        get, replies, n = value.get, self._replies, len(self._replies)
+        cut, widest, last, cap = self._cut, self._widest, self._last, STATES_CAP
+        # one frame per open state: (state, next reply, best value, best move)
+        stack = [(closed, 0, INFINITE, None)]
+        while stack:
+            state, i, best_val, best_mv = stack.pop()
+            val = 0  # None below only if the scan stopped at an unsolved state
+            for i in range(i, n):
+                m, add = replies[i]
+                if m & state:
                     continue
-                nxt = closed | add
+                nxt = state | add
                 val = get(nxt)
                 if val is None:
-                    val = visit(nxt)
+                    break
                 if val < best_val:
                     best_val, best_mv = val, m
                     # a state of k of its |S| points has the floor
                     # ceil((|S| - k) / widest), which a next state worth
                     # (|S| - 1 - k) // widest meets
-                    if cut and val <= (last - closed.bit_count()) // widest:
+                    if cut and val <= (last - state.bit_count()) // widest:
                         break
-            value[closed] = best_val + 1
+            if val is None:  # solve the next state, then read reply i again
+                stack += (state, i, best_val, best_mv), (nxt, 0, INFINITE, None)
+                continue
+            if len(value) >= cap:
+                raise TooLarge(f"the game table needs more than the cap of {cap} states")
+            value[state] = best_val + 1
             if best_mv is not None:
-                best[closed] = best_mv
-            return best_val + 1
-
-        return visit(closed)
+                best[state] = best_mv
+        return value[closed]
 
     def records(self):
         for closed in sorted(self.value):
@@ -185,35 +196,15 @@ def _reply_closures(space: FiniteSpace, within: int) -> list[tuple[int, int]]:
     return [(m, clpt[(m & -m).bit_length() - 1] & within) for m in mins]
 
 
-def capped_table(space: FiniteSpace, within: int | None = None) -> StrategyTable:
-    """A lazy ``StrategyTable``, for callers that need a value or a line.
-
-    ``solved_gd`` (and through it the metric checks), the subspace solves
-    of ``subspace-monotone`` (``within`` a set of points, as in
-    ``StrategyTable``) and optimal play in ``openpoint play`` read it.  Its
-    states are unions of at most r reply closures, r the number of
-    replies (the minimal opens, or on a subspace the minimal traces),
-    since a pick's closure is the closure of its whole minimal open.
-    Raises TooLarge when that 2^r bound passes ``STATES_CAP``: the floor
-    cuts the search only where a reply meets it, so the bound stays the
-    cap.
-    """
-    table = StrategyTable(space, within)
-    most = len(table._replies)
-    if 1 << most > STATES_CAP:
-        raise TooLarge(f"a solve may visit 2^{most} states, over the cap of {STATES_CAP}")
-    return table
-
-
 def solve_game(space: FiniteSpace) -> StrategyTable:
     """The complete table for every variant: every closed state reachable from the empty one.
 
     For the callers that read every state, ``openpoint solve`` and the
-    ``value-monotone`` check.  It runs the lazy table's visit loop with the
-    cut off, so no reply list is cut short.  Raises TooLarge
-    past ``STATES_CAP``, as ``capped_table`` does.
+    ``value-monotone`` check.  It runs the lazy table's loop with the cut
+    off, so no reply list is cut short.  Raises TooLarge past
+    ``STATES_CAP``, as every table does.
     """
-    table = capped_table(space)
+    table = StrategyTable(space)
     table._cut = False
     table(0)
     if INFINITE in table.value.values():
@@ -222,7 +213,7 @@ def solve_game(space: FiniteSpace) -> StrategyTable:
 
 
 def _gd(space: FiniteSpace) -> int:
-    return capped_table(space).gd
+    return StrategyTable(space).gd
 
 
 def solved_gd(space: FiniteSpace) -> int:
@@ -256,7 +247,9 @@ def exact_force_set(space: FiniteSpace) -> frozenset[int]:
         memo[closed] = frozenset(out)
         return memo[closed]
 
-    return visit(0)
+    forcible = visit(0)
+    del visit  # empties its own cell: no reference cycle keeps the memo alive
+    return forcible
 
 
 # ---------------------------------------------------------------------------

@@ -263,15 +263,31 @@ class TestPlay:
         assert code == 0, err
         assert ndjson_lines(out)[-1] == {"length": 16, "gd": 16, "matched_gd": True}
 
-    def test_optimal_play_past_the_state_cap_is_refused(self, tmp_path):
-        # D3 x D7 has 21 minimal opens: a full solve may meet 2^21 closed states
+    @staticmethod
+    def _d3_d7_files(tmp_path):
         paths = []
         for n in (3, 7):
             path = tmp_path / f"d{n}.json"
             path.write_text(json.dumps(space_to_json(make_discrete(n))))
             paths.append(str(path))
-        code, out, err = invoke(["play", *paths, "--pI", "pi-base", "--pII", "optimal"])
-        assert code == 1 and not out and "2^21 states" in err
+        return paths
+
+    def test_optimal_play_on_d3_times_d7(self, tmp_path):
+        # 21 minimal opens: 2^21 states in the complete table, 22 in the lazy one
+        code, out, err = invoke(["play", *self._d3_d7_files(tmp_path),
+                                 "--pI", "optimal", "--pII", "optimal"])
+        assert code == 0, err
+        assert ndjson_lines(out)[-1] == {"length": 21, "gd": 21, "matched_gd": True}
+
+    def test_optimal_play_past_the_state_cap_is_refused(self, monkeypatch, tmp_path):
+        import openpoint.game as game
+
+        # the chooser's first offer solves the 22 states of the line
+        monkeypatch.setattr(game, "STATES_CAP", 21)
+        code, out, err = invoke(["play", *self._d3_d7_files(tmp_path),
+                                 "--pI", "optimal", "--pII", "first"])
+        assert code == 1 and not out
+        assert "cap of 21 states" in err and "Traceback" not in err
 
     def test_ledger_without_aggregate_rejected(self, sierpinski_file):
         code, _, err = invoke(["play", sierpinski_file, "--ledger", "x.ndjson"])

@@ -1,3 +1,4 @@
+import gc
 import weakref
 from dataclasses import replace
 from itertools import permutations
@@ -77,7 +78,7 @@ BROKEN_ROUTES = [
     ("value-monotone", "solve_game",  # the empty state claims the game is over
      lambda real: lambda space: SimpleNamespace(value={**real(space).value, 0: 0}),
      {"larger": 0b0011, "smaller": 0}),
-    ("subspace-monotone", "capped_table",  # a subspace with more minimal opens
+    ("subspace-monotone", "StrategyTable",  # a subspace with more minimal opens
      lambda real: lambda space, within: real(make_discrete(space.n + 1)),
      {"subset": 0b0010, "sub_gd": 5, "gd": 2}),
     ("dense-lower-bound", "dense_densities",
@@ -219,7 +220,7 @@ class TestSuite:
         def unsolvable(space):
             raise AssertionError("the variants check solved a second game")
 
-        for name in ("capped_table", "solve_game"):
+        for name in ("StrategyTable", "solve_game"):
             monkeypatch.setattr(game, name, unsolvable)
         assert _check_variants(space) == {"_note": {"multi_equals_free": True}}
 
@@ -251,6 +252,16 @@ class TestSuite:
                         picker = dense_point_picker(space, a)
                         assert _shortest_play(space, picker) == min(chooser_line_lengths(space, picker))
 
+    def test_shortest_play_leaves_no_reference_cycle(self):
+        space = make_indiscrete(4)
+        gc.collect()
+        gc.disable()
+        try:
+            assert _check_dense_lower_bound(space) is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_dense_lower_bound_walks_five_points(self, monkeypatch):
         space = make_indiscrete(5)
         made = []
@@ -280,13 +291,13 @@ class TestSuite:
         self._assert_builds_no_space(monkeypatch, labeled_corpus, _check_subspace_monotone)
 
     def test_subspace_monotone_never_solves_the_whole_space(self, monkeypatch, labeled_corpus):
-        real, seen = enumeration.capped_table, []
+        real, seen = enumeration.StrategyTable, []
 
         def spy(space, within):
             seen.append((space, within))
             return real(space, within)
 
-        monkeypatch.setattr(enumeration, "capped_table", spy)
+        monkeypatch.setattr(enumeration, "StrategyTable", spy)
         for spaces_n in labeled_corpus.values():
             for space in spaces_n:
                 assert _check_subspace_monotone(space) is None, space.name

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -9,27 +11,31 @@ from hypothesis import strategies as st
 from openpoint.game import (
     GameVariant,
     IllegalMove,
-    capped_table,
+    StrategyTable,
     evaluate_chooser,
     exact_force_set,
     first_point_picker,
     optimal_picker,
     play_transcript,
     random_picker,
+    run_game,
     solve_game,
     solved_gd,
     stalling_picker,
+    table_picker,
     value_function,
 )
 from openpoint.invariants import delta, density
 from openpoint.products import product
 from openpoint.enumeration import enumerate_labeled
+from openpoint.strategies import table_chooser
 from openpoint.space import (
     EmptySubspace,
     FiniteSpace,
     TooLarge,
     TopologyError,
     _compress,
+    from_preorder,
     minimal_opens,
     subspace,
     validate_topology,
@@ -256,7 +262,7 @@ class TestFloor:
 
     def _assert_same_as_solve(self, space):
         complete = solve_game(space)
-        self._assert_agrees(capped_table(space), complete.value, complete.best_move)
+        self._assert_agrees(StrategyTable(space), complete.value, complete.best_move)
 
     def test_every_labeled_space_up_to_five_points(self, labeled_corpus):
         five = list(enumerate_labeled(5))
@@ -282,7 +288,7 @@ class TestFloor:
         # value from the empty state reads one state per stage
         d4 = make_discrete(4)
         space = product([d4, d4]).space
-        lazy = capped_table(space)
+        lazy = StrategyTable(space)
         assert lazy.gd == 16 and len(lazy.value) <= 17
         assert len(solve_game(space).value) == 1 << 16
 
@@ -299,7 +305,7 @@ class TestFloor:
         # the second leaves three, which the third closes in one
         replies = [(p[0], p[0]), (p[1], p[1] | p[2] | p[3]), (p[4], p[0] | p[4] | p[5])]
         monkeypatch.setattr(game, "_reply_closures", lambda space, within: replies)
-        lazy = capped_table(space, within)
+        lazy = StrategyTable(space, within)
         assert (lazy.gd, lazy.best_move[0]) == (2, p[1])
         self._assert_agrees(lazy, *_full_scan(replies, (1 << 6) - 1))
 
@@ -320,15 +326,51 @@ class TestFloor:
         real = game._reply_closures
         game._reply_closures = lambda space, within: replies
         try:
-            lazy = capped_table(make_discrete(n))
+            lazy = StrategyTable(make_discrete(n))
         finally:
             game._reply_closures = real
         self._assert_agrees(lazy, *_full_scan(replies, (1 << n) - 1))
 
-    def test_lazy_table_keeps_the_state_cap(self):
-        # D3 x D7: 21 minimal opens, one past the 2^20 bound
-        with pytest.raises(TooLarge, match="2\\^21 states"):
-            capped_table(product([make_discrete(3), make_discrete(7)]).space)
+    def test_lazy_table_keeps_the_state_cap(self, monkeypatch):
+        import openpoint.game as game
+
+        # D3 x D7: 21 minimal opens, 2^21 states in the complete table and
+        # 22 in the lazy one, which the cap counts as it stores them
+        space = product([make_discrete(3), make_discrete(7)]).space
+        lazy = StrategyTable(space)
+        assert lazy.gd == 21 and len(lazy.value) == 22
+        monkeypatch.setattr(game, "STATES_CAP", 22)
+        assert StrategyTable(space).gd == 21
+        monkeypatch.setattr(game, "STATES_CAP", 21)
+        with pytest.raises(TooLarge, match="cap of 21 states"):
+            StrategyTable(space).gd
+
+    def test_a_floor_that_cannot_cut_meets_the_cap(self, monkeypatch):
+        import openpoint.game as game
+
+        # the open point 0 has the points 1..6 in its closure; 7..12 are
+        # isolated.  The widest reply closes 7 of the 13 points, so no
+        # floor passes 2 while the values run up to 7: almost no scan is cut
+        rows = [0b1] + [0b1 | 1 << x for x in range(1, 7)] + [1 << x for x in range(7, 13)]
+        space = from_preorder(rows)
+        table = StrategyTable(space)
+        assert table.gd == 7
+        assert len(table.value) == 127  # all but one of the 2^7 reachable states
+        monkeypatch.setattr(game, "STATES_CAP", 64)
+        with pytest.raises(TooLarge, match="cap of 64 states"):
+            StrategyTable(space).gd
+
+    def test_d32_squared_needs_no_recursion(self):
+        # 1,024 stages from the empty state, past the default recursion limit
+        d32 = from_preorder([1 << x for x in range(32)])
+        space = product([d32, d32]).space
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            lazy = StrategyTable(space)
+            assert lazy.gd == 1024 and len(lazy.value) <= 1025
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestTrace:
@@ -350,7 +392,7 @@ class TestTrace:
         for space in [s for n in range(1, 5) for s in labeled_corpus[n]]:
             for s in range(1, space.full + 1):
                 members = list(_points(s))
-                sub, trace = solve_game(subspace(space, s)), capped_table(space, s)
+                sub, trace = solve_game(subspace(space, s)), StrategyTable(space, s)
                 assert trace.gd == sub.gd
                 for c in sub.value:
                     trace(sum(1 << members[i] for i in _points(c)))
@@ -362,20 +404,26 @@ class TestTrace:
         assert len(five) == 992
         for space in five:
             for s in range(1, space.full + 1):
-                assert capped_table(space, s).gd == solved_gd(subspace(space, s)), (space, s)
+                assert StrategyTable(space, s).gd == solved_gd(subspace(space, s)), (space, s)
 
-    def test_the_cap_counts_the_trace_replies(self):
-        # D3 x D7: 21 minimal opens; a trace on 20 of the points has 20
+    def test_the_cap_counts_the_trace_states(self, monkeypatch):
+        import openpoint.game as game
+
+        # D3 x D7: a trace on 20 of the 21 points solves one line of 21 states
         space = product([make_discrete(3), make_discrete(7)]).space
-        with pytest.raises(TooLarge, match="2\\^21 states"):
-            capped_table(space, space.full)
         for x in range(space.n):
-            assert capped_table(space, space.full & ~(1 << x)).gd == 20
+            trace = StrategyTable(space, space.full & ~(1 << x))
+            assert trace.gd == 20 and len(trace.value) == 21
+        monkeypatch.setattr(game, "STATES_CAP", 21)
+        assert StrategyTable(space, space.full - 1).gd == 20
+        monkeypatch.setattr(game, "STATES_CAP", 20)
+        with pytest.raises(TooLarge, match="cap of 20 states"):
+            StrategyTable(space, space.full - 1).gd
 
     @pytest.mark.parametrize("within, error", [(0, EmptySubspace), (-1, TopologyError), (0b100, TopologyError)])
     def test_within_must_be_a_set_of_points(self, sierpinski, within, error):
         with pytest.raises(error):
-            capped_table(sierpinski, within)
+            StrategyTable(sierpinski, within)
 
 
 class TestReplyList:
@@ -442,7 +490,7 @@ class TestSolvedGd:
             calls.append(space)
             return SimpleNamespace(gd=10 + len(calls))
 
-        monkeypatch.setattr(game, "capped_table", counting)
+        monkeypatch.setattr(game, "StrategyTable", counting)
         space, other = make_discrete(2), make_discrete(3)
         for _ in range(2):
             assert (solved_gd(space), solved_gd(other)) == (11, 12)
@@ -451,6 +499,27 @@ class TestSolvedGd:
     def test_matches_the_solver(self, labeled_corpus):
         for space in labeled_corpus[3]:
             assert solved_gd(space) == solve_game(space).gd
+
+
+class TestNoReferenceCycle:
+    """A walk over the states drops everything it made when it returns.
+
+    With the cyclic collector off, a reference cycle left by one call
+    would be found by the next ``gc.collect()``.
+    """
+
+    @pytest.mark.parametrize("walk", [
+        lambda space: StrategyTable(space)(0), solve_game, exact_force_set,
+    ], ids=["StrategyTable", "solve_game", "exact_force_set"])
+    def test_one_call_leaves_nothing_to_collect(self, walk):
+        space = make_discrete(4)
+        gc.collect()
+        gc.disable()
+        try:
+            walk(space)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestExactForce:
@@ -505,6 +574,15 @@ class TestEvaluate:
 
 
 class TestPlay:
+    def test_optimal_against_optimal_on_d4_cubed(self):
+        d4 = make_discrete(4)
+        space = product([d4, d4, d4]).space
+        table = StrategyTable(space)
+        transcript, _ = run_game(space, table_chooser(table), table_picker(table),
+                                 GameVariant.RESTRICTED)
+        assert transcript.length == table.gd == 64
+        assert len(table.value) == 65  # both players read the one line it solved
+
     def test_optimal_vs_optimal_sierpinski(self, sierpinski):
         table = solve_game(sierpinski)
         chooser = lambda closed, stage: table.best_move[closed]
