@@ -8,11 +8,12 @@ rendering with --format pretty), diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from math import prod as size_product
 
 from . import enumeration, metric, products, strategies
@@ -41,9 +42,16 @@ class UsageError(Exception):
     pass
 
 
+class _HelpWritten(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; usage errors are 1 here
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):  # only -h exits here, once its help is written
+        raise _HelpWritten
 
 
 def _emit(stream, obj, fmt):
@@ -104,7 +112,13 @@ def _output(path, out):
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built on the first call and shared by later ones.
+
+    It holds no per-call state: each ``parse_args`` fills a fresh namespace,
+    and ``run`` routes ``-h`` output per call.
+    """
     parser = _Parser(prog="openpoint")
     parser.add_argument("--format", choices=["ndjson", "pretty"], default="ndjson")
     parser.add_argument("--seed", type=int, default=0)
@@ -405,13 +419,16 @@ COMMANDS = {
 
 
 def run(argv, out=None, err=None, stdin=None) -> int:
+    """Run one command and return its exit code; ``-h`` writes its help to ``out`` and returns 0."""
     out = out or sys.stdout
     err = err or sys.stderr
     stdin = stdin or sys.stdin
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out):  # argparse writes the -h help to sys.stdout
+            args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args, out, err, stdin)
+    except _HelpWritten:
+        return 0
     except (UsageError, TopologyError) as exc:
         err.write(f"error: {exc}\n")
         return 1

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import openpoint
-from openpoint.cli import run
+from openpoint.cli import COMMANDS, build_parser, run
 from openpoint.space import space_from_json, space_to_json
 
 from .conftest import make_cli_class_factors, make_discrete, make_indiscrete, make_sierpinski
@@ -590,6 +590,43 @@ class TestPrettyFormat:
         assert json.loads(out)["name"] == "sierpinski"
 
 
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], *([name, "-h"] for name in COMMANDS)],
+                             ids=lambda argv: " ".join(argv))
+    def test_help_goes_to_out_and_returns_zero(self, capsys, argv):
+        code, out, err = invoke(argv)
+        assert code == 0 and not err
+        assert out.startswith(f"usage: {' '.join(['openpoint', *argv[:-1]])} [-h]")
+        assert capsys.readouterr() == ("", "")
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_prints_what_a_fresh_one_does(self, tmp_path, sierpinski_file):
+        indiscrete = tmp_path / "indiscrete3.json"
+        indiscrete.write_text(json.dumps(space_to_json(make_indiscrete(3))))
+        play = ["play", str(indiscrete), "--pI", "pi-base", "--pII", "random"]
+        sequence = [
+            ["play", sierpinski_file, "--ledger", str(tmp_path / "ledger.ndjson")],
+            ["--seed", "5", *play],
+            play,
+            ["--format", "pretty", "validate", sierpinski_file],
+            ["validate", sierpinski_file],
+        ]
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(invoke(argv))
+        build_parser.cache_clear()
+        reused = [invoke(argv) for argv in sequence]
+        assert build_parser.cache_info().misses == 1
+        assert reused == fresh
+        # a seed or a format left behind by the previous call would show
+        assert fresh[0][0] == 1 and fresh[1][1] != fresh[2][1] and fresh[3][1] != fresh[4][1]
+
+
 class TestDeterminism:
     def test_suite_byte_identical(self):
         _, out1, _ = invoke(["--seed", "3", "suite", "--n", "2",
@@ -612,6 +649,10 @@ class TestModuleEntryPoints:
         proc = self._run(module, "validate", sierpinski_file)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["name"] == "sierpinski"
+
+    def test_help_exits_zero(self, module):
+        proc = self._run(module, "-h")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: openpoint")
 
     def test_bad_input_exits_one(self, module):
         proc = self._run(module, "validate", "/nowhere/x.json")

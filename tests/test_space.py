@@ -25,7 +25,9 @@ from openpoint.space import (
     from_preorder,
     interior,
     is_dense,
+    load_space,
     minimal_opens,
+    save_space,
     space_from_json,
     space_from_masks,
     space_to_json,
@@ -64,6 +66,16 @@ def families(draw, max_points=5):
     return n, sorted(family)
 
 
+def _assert_refused(n, family):
+    """``family`` is refused, naming two members whose union or intersection is missing."""
+    members = set(family)
+    with pytest.raises((NotClosedUnderUnion, NotClosedUnderIntersection)) as err:
+        space_from_masks("f", [f"p{i}" for i in range(n)], family)
+    a, b = map(_mask, err.value.pair)
+    joined = a | b if err.type is NotClosedUnderUnion else a & b
+    assert a in members and b in members and joined not in members
+
+
 class TestValidate:
     def test_sierpinski(self, sierpinski):
         assert sierpinski.n == 2
@@ -79,20 +91,54 @@ class TestValidate:
             validate_topology(["a", "b", "c"], [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]])
         assert err.value.pair == ([0, 1], [1, 2])
 
-    @given(families())
+    @given(families(max_points=6))
     def test_accepts_exactly_the_pairwise_closed_families(self, drawn):
         n, family = drawn
-        members = set(family)
-        try:
+        if _pairwise_closed(family):
             space_from_masks("f", [f"p{i}" for i in range(n)], family)
-        except NotClosedUnderUnion as err:
-            a, b = map(_mask, err.pair)
-            assert a in members and b in members and a | b not in members
-        except NotClosedUnderIntersection as err:
-            a, b = map(_mask, err.pair)
-            assert a in members and b in members and a & b not in members
         else:
-            assert _pairwise_closed(family)
+            _assert_refused(n, family)
+
+    @pytest.mark.parametrize("n, family, fault, pair", [
+        # row(a) is ab, not inside ac, which holds a
+        (3, [0b000, 0b011, 0b101, 0b111], NotClosedUnderIntersection, ([0, 1], [0, 2])),
+        # row(c) is cd by size; numerically abc would come first
+        (4, [0b0000, 0b0111, 0b1100, 0b1111], NotClosedUnderIntersection, ([2, 3], [0, 1, 2])),
+        # the rows a, b, ac are transitive and their unions are members; bc is not a union
+        (3, [0b000, 0b001, 0b010, 0b011, 0b101, 0b110, 0b111],
+         NotClosedUnderIntersection, ([0, 2], [1, 2])),
+        # as many members as unions of the rows a, b, ac, but ab is missing and bc is extra
+        (3, [0b000, 0b001, 0b010, 0b101, 0b110, 0b111], NotClosedUnderUnion, ([0], [1])),
+    ], ids=["meet-of-rows", "size-not-numeric-order", "member-not-a-union", "equal-count"])
+    def test_first_member_by_size_not_inside_every_member_holding_its_point(
+            self, n, family, fault, pair):
+        with pytest.raises(fault) as err:
+            space_from_masks("f", [f"p{i}" for i in range(n)], family)
+        assert err.value.pair == pair
+        _assert_refused(n, family)
+
+    @pytest.mark.parametrize("factors, opens", [
+        (make_cli_class_factors, 720), (lambda: (make_discrete(4), make_discrete(4)), 1 << 16),
+    ], ids=["cli-class", "D4xD4"])
+    def test_product_file_loads_back(self, tmp_path, factors, opens):
+        prod = product(list(factors())).space
+        path = tmp_path / "product.json"
+        save_space(prod, path)
+        loaded = load_space(path)
+        assert loaded.nbhds == prod.nbhds and loaded.opens == prod.opens
+        assert len(loaded.opens) == opens
+
+    def test_every_one_open_change_to_a_product_is_refused(self):
+        prod = product(list(make_cli_class_factors())).space
+        opens = prod.opens
+        assert len(opens) == 720
+        for dropped in opens[1:-1]:
+            _assert_refused(prod.n, [u for u in opens if u != dropped])
+        members = set(opens)
+        outside = [m for m in range(prod.full + 1) if m not in members]
+        # every 64th of the 64,816 masks that are not open, spread over their range
+        for added in outside[::64]:
+            _assert_refused(prod.n, [*opens, added])
 
     def test_missing_empty_or_full(self):
         with pytest.raises(MissingEmptyOrFull):
