@@ -253,7 +253,7 @@ def _split_labels(text: str) -> list[str]:
 def _interactive_picker(space, err, stdin):
     def pick(closed, offered, stage, rng=None):
         while True:
-            err.write(f"offered open: {sorted(space.label_set(offered))}\n")
+            err.write(f"offered open: {space.labels_of(offered)}\n")
             err.write("pick a point: ")
             err.flush()
             line = stdin.readline()
@@ -292,9 +292,9 @@ def cmd_play(args, out, err, stdin):
         def emit_step(stage, step):
             _emit(out, {
                 "stage": stage,
-                "offered": sorted(space.label_set(step.offered)),
-                "picked": sorted(space.label_set(step.picks)),
-                "closure": sorted(space.label_set(step.closure_after)),
+                "offered": space.labels_of(step.offered),
+                "picked": space.labels_of(step.picks),
+                "closure": space.labels_of(step.closure_after),
             }, args.format)
 
         transcript, final_state = run_game(
@@ -382,8 +382,8 @@ def cmd_fan_check(args, out, *_):
         sub = products.product([factors[g] for g in gamma]).space
         _emit(out, {
             "gamma": list(gamma),
-            "open": sorted(sub.label_set(u)),
-            "family": [sorted(sub.label_set(v)) for v in family],
+            "open": sub.labels_of(u),
+            "family": [sub.labels_of(v) for v in family],
         }, args.format)
     return 0 if verdict.holds else 2
 

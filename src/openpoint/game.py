@@ -45,8 +45,8 @@ class IllegalMove(Exception):
         self.closed = closed
         self.move = move
         super().__init__(
-            f"{offender} played {sorted(space.label_set(move))} at closed state "
-            f"{sorted(space.label_set(closed))}: {why}"
+            f"{offender} played {space.labels_of(move)} at closed state "
+            f"{space.labels_of(closed)}: {why}"
         )
 
 
@@ -171,11 +171,11 @@ class StrategyTable:
     def records(self):
         for closed in sorted(self.value):
             rec = {
-                "closed_set": sorted(self.space.label_set(closed)),
+                "closed_set": self.space.labels_of(closed),
                 "value": self.value[closed],
             }
             if closed in self.best_move:
-                rec["best_move"] = sorted(self.space.label_set(self.best_move[closed]))
+                rec["best_move"] = self.space.labels_of(self.best_move[closed])
             yield rec
 
 

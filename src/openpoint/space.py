@@ -13,7 +13,12 @@ open lattice grows exponentially; so ``opens`` is the family validated by
 the rows built on first access, refused once it passes ``OPENS_CAP``.
 ``closure`` scans that lattice, as the oracle the derived routes are
 checked against; ``closures`` keeps its value for every subset.  Every
-value derived from the rows is kept on the space through ``memo``.
+value derived from the rows is kept on the space through ``memo``, as are
+the label tables that ``mask_of`` and ``labels_of`` read.
+
+Space files are read with one Python pass over their labels
+(``space_from_json``) and written from the label tables
+(``space_to_json``).
 """
 
 from __future__ import annotations
@@ -129,16 +134,22 @@ class FiniteSpace:
     def __repr__(self) -> str:
         return f"FiniteSpace({self.name!r}, n={self.n}, distinct_nbhds={len(set(self.nbhds))})"
 
-    def label_set(self, mask: int) -> list[str]:
-        return [self.point_labels[i] for i in bits(mask)]
+    def labels_of(self, mask: int) -> list[str]:
+        """The labels of the points in ``mask``, a set of this space's points, sorted.
+
+        Read off the ``_label_tables`` of the space, built on first use.
+        """
+        to_rank, by_rank = self.memo("label_tables", _label_tables, self.point_labels)
+        return _rank_labels(by_rank, _rank_mask(to_rank, mask))
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        index = {lab: i for i, lab in enumerate(self.point_labels)}
+        """The set of the points labelled ``labels``; UnknownLabel names a label that is not a point's."""
+        bit_of = self.memo("label_bits", _label_bits, self.point_labels)
         mask = 0
         for lab in labels:
-            if lab not in index:
+            if lab not in bit_of:
                 raise UnknownLabel(f"unknown point label {lab!r}")
-            mask |= 1 << index[lab]
+            mask |= bit_of[lab]
         return mask
 
     def is_open(self, mask: int) -> bool:
@@ -158,6 +169,58 @@ class FiniteSpace:
         for x in bits(mask):
             out |= pts[x]
         return out
+
+
+def _label_bits(point_labels) -> dict:
+    """``{label: 1 << i}`` for the label of every point i."""
+    return {lab: 1 << i for i, lab in enumerate(point_labels)}
+
+
+def _label_tables(point_labels) -> tuple[tuple, tuple]:
+    """Lookup tables that turn a set of points into its labels in sorted order.
+
+    The label of rank r among the n labels (rank 0 for the least string)
+    is bit n-1-r of a *rank mask*, so a set's sorted labels are the bits of
+    its rank mask from the top down.  ``to_rank`` holds, per 8-bit chunk
+    of a point mask, a table from the chunk's value to the rank bits of its
+    points; ``by_rank`` holds, per chunk of a rank mask from the top chunk
+    down, a table from the chunk's value to its labels in sorted order.
+    Each entry is ``(shift, table)`` with 2^k entries for a chunk of k
+    bits, so a space of at most 8 points has one table of 2^n each way.
+    """
+    n = len(point_labels)
+    order = sorted(range(n), key=point_labels.__getitem__)
+    rank_bit = [0] * n
+    for r, x in enumerate(order):
+        rank_bit[x] = 1 << (n - 1 - r)
+    label_at = [point_labels[x] for x in reversed(order)]  # the label of each rank bit
+    to_rank, by_rank = [], []
+    for lo in range(0, n, 8):
+        ranks, names = [0], [()]
+        for j in range(lo, min(lo + 8, n)):
+            # entry v + 2^(j - lo) adds to entry v point j's rank bit, and the
+            # label of rank bit j, which sorts before the labels of lower bits
+            bit, first = rank_bit[j], (label_at[j],)
+            for v in range(len(ranks)):
+                ranks.append(ranks[v] | bit)
+                names.append(first + names[v])
+        to_rank.append((lo, ranks))
+        by_rank.append((lo, names))
+    return tuple(to_rank), tuple(reversed(by_rank))
+
+
+def _rank_mask(to_rank, mask: int) -> int:
+    rank = 0
+    for shift, table in to_rank:
+        rank |= table[mask >> shift & 255]
+    return rank
+
+
+def _rank_labels(by_rank, rank: int) -> list[str]:
+    labels = []
+    for shift, table in by_rank:
+        labels += table[rank >> shift & 255]
+    return labels
 
 
 def _point_closures(nbhds) -> tuple[int, ...]:
@@ -412,13 +475,69 @@ def from_preorder(rows, name: str = "space", point_labels=None) -> FiniteSpace:
 # ---------------------------------------------------------------------------
 
 def space_to_json(space: FiniteSpace) -> dict:
-    """Opens are listed by size, then by their sorted labels."""
-    opens = [sorted(space.label_set(m)) for m in space.opens]
-    opens.sort(key=lambda labels: (len(labels), labels))
+    """Opens are listed by size, then by their sorted labels.
+
+    Among opens of one size, the sorted label lists ascend as the rank
+    masks of ``_label_tables`` descend: the least label of the symmetric
+    difference of two opens is the highest bit in which their rank masks
+    differ.  So the opens are sorted as ints, and each open's labels are
+    read off the tables once.
+    """
+    to_rank, by_rank = space.memo("label_tables", _label_tables, space.point_labels)
+    ranks = sorted([_rank_mask(to_rank, m) for m in space.opens], reverse=True)
+    ranks.sort(key=int.bit_count)
+    opens = [_rank_labels(by_rank, r) for r in ranks]
     return {"name": space.name, "points": list(space.point_labels), "opens": opens}
 
 
 def space_from_json(obj: dict) -> FiniteSpace:
+    """The space of a space file's object; any malformed object raises a TopologyError.
+
+    A well-formed object costs one Python pass over its labels
+    (``_one_pass_masks``).  Anything else goes through
+    ``_checked_space_from_json``, the schema check and then the label
+    loop of ``validate_topology``, which raises the precise error: a
+    schema error anywhere wins over an unknown label on an earlier open.
+    """
+    masks = _one_pass_masks(obj)
+    if masks is None:
+        return _checked_space_from_json(obj)
+    return space_from_masks(obj["name"], obj["points"], masks)
+
+
+def _one_pass_masks(obj) -> list[int] | None:
+    """The opens of a well-formed space object as masks, or None.
+
+    Each open is one loop of lookups in ``_label_bits``, OR-ed together,
+    since an open may repeat a label.  None stands for anything a space
+    file must not hold: a field missing or of another type, duplicate
+    point labels, an open that is not a list, a label that is not a
+    point's (KeyError) or cannot be one (TypeError).
+    """
+    if type(obj) is not dict:
+        return None
+    try:
+        points, opens = obj["points"], obj["opens"]
+        if type(obj["name"]) is not str or type(points) is not list or type(opens) is not list:
+            return None
+        bit_of = _label_bits(points)
+        if len(bit_of) != len(points) or not all(type(lab) is str for lab in points):
+            return None
+        masks = []
+        for raw in opens:
+            if type(raw) is not list:
+                return None
+            mask = 0
+            for lab in raw:
+                mask |= bit_of[lab]
+            masks.append(mask)
+    except (KeyError, TypeError):
+        return None
+    return masks
+
+
+def _checked_space_from_json(obj) -> FiniteSpace:
+    """``space_from_json`` with every field checked first, in a fixed order."""
     if not isinstance(obj, dict):
         raise TopologyError("a space must be a JSON object")
     try:

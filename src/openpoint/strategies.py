@@ -41,7 +41,7 @@ class OrderedPiBase:
         for nbhd in self.space.nbhds:
             if not any(nbhd & m == m for m in self.members):
                 raise ValueError(
-                    f"open {sorted(self.space.label_set(nbhd))} contains no base member"
+                    f"open {self.space.labels_of(nbhd)} contains no base member"
                 )
 
     def __len__(self) -> int:
@@ -75,7 +75,7 @@ def dense_point_picker(space: FiniteSpace, dense_set: int):
     """Pick the least-index offered point inside a fixed dense set."""
     if space.closure_of(dense_set) != space.full:
         raise NotDense(
-            f"{sorted(space.label_set(dense_set))} is not dense in {space.name}"
+            f"{space.labels_of(dense_set)} is not dense in {space.name}"
         )
 
     def pick(closed, offered, stage, rng=None):

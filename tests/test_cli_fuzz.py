@@ -11,10 +11,13 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from openpoint.cli import run
+from openpoint.space import TopologyError
 
+from .space_file_oracle import MALFORMED, ref_space_from_json
 from .util import close_family
 
 LABELS = ["a", "b", "c", "(a,b)", ""]
@@ -160,3 +163,15 @@ def test_every_subcommand_exits_with_a_code_and_no_traceback(invocation):
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         assert "error: " in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("obj", [obj for _, obj in MALFORMED], ids=[name for name, _ in MALFORMED])
+@pytest.mark.parametrize("command", ["validate", "solve", "product"])
+def test_malformed_space_file_exits_1_with_the_reference_error(tmp_path, command, obj):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(TopologyError) as ref:
+        ref_space_from_json(obj)
+    out, err = io.StringIO(), io.StringIO()
+    code = run([command, str(path)], out=out, err=err, stdin=io.StringIO(""))
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {ref.value}\n")

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,13 @@ from openpoint.space import (
 
 from .conftest import make_cli_class_factors, make_discrete, make_indiscrete, make_two_sierpinski
 from .invariant_oracle import subspace_trace
+from .space_file_oracle import (
+    ACCEPTED,
+    MALFORMED,
+    ref_labels,
+    ref_space_from_json,
+    ref_space_to_json,
+)
 from .util import close_family, space_and_subset, spaces
 
 
@@ -554,3 +562,128 @@ class TestJsonRoundtrip:
     def test_top_level_must_be_an_object(self, obj):
         with pytest.raises(TopologyError, match="a space must be a JSON object"):
             space_from_json(obj)
+
+
+# labels whose string order is not their index order: digits before upper
+# before lower case, "10" before "9", and a non-ASCII label last
+SCRAMBLED = ["a", "10", "\u00e9", "B", "9"]
+
+
+def _relabel(space, labels, name=None):
+    return from_preorder(space.nbhds, name or space.name, labels)
+
+
+def _cli_class_products():
+    """The product of ``make_cli_class_factors()`` in both orders, under four labellings each."""
+    x, y = make_cli_class_factors()
+    labellings = [
+        (x.point_labels, y.point_labels),
+        (["10", "9", "B", "a"], ["b", "A", "11", "2"]),
+        (["\u00e9", "e", "E", "3"], ["z", "y", "x", "w"]),
+        (["(", ")", ",", " "], ["", "a,b", "(a", "\u00e9\u00e9"]),
+    ]
+    for lx, ly in labellings:
+        fx, fy = _relabel(x, lx), _relabel(y, ly)
+        for factors in ((fx, fy), (fy, fx)):
+            yield product(list(factors)).space
+
+
+def _assert_file_format_matches(space):
+    obj = space_to_json(space)
+    assert obj == ref_space_to_json(space)
+    assert json.dumps(obj) == json.dumps(ref_space_to_json(space))
+    got = space_from_json(json.loads(json.dumps(obj)))
+    want = ref_space_from_json(obj)
+    assert (got.name, got.point_labels, got.nbhds, got.opens) == (
+        want.name, want.point_labels, want.nbhds, want.opens)
+
+
+# objects that only a caller of the API can pass: JSON has no tuples
+API_TUPLES = [
+    ("tuple-open", {"name": "s", "points": ["a"], "opens": [(), ("a",)]}),
+    ("tuple-points", {"name": "s", "points": ("a",), "opens": [[], ["a"]]}),
+    ("tuple-opens", {"name": "s", "points": ["a"], "opens": ([], ["a"])}),
+]
+
+
+def _error_of(read, obj):
+    try:
+        read(obj)
+    except TopologyError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestSpaceFileAgainstReference:
+    """The one-pass reader and the table-driven writer against ``space_file_oracle``."""
+
+    def test_every_labeled_space_up_to_four_points_scrambled(self, labeled_corpus):
+        for n, spaces_n in labeled_corpus.items():
+            labels = SCRAMBLED[:n]
+            assert n == 1 or sorted(labels) != labels
+            for space in spaces_n:
+                relabeled = _relabel(space, labels, "scrambled")
+                _assert_file_format_matches(relabeled)
+                for mask in range(relabeled.full + 1):
+                    assert relabeled.labels_of(mask) == ref_labels(relabeled, mask)
+
+    def test_cli_class_products_and_d4xd4(self):
+        prods = list(_cli_class_products())
+        assert len(prods) == 8 and all(p.n == 16 and len(p.opens) == 720 for p in prods)
+        d4 = _relabel(make_discrete(4), ["d", "10", "C", "9"], "D4")
+        prods.append(product([d4, d4]).space)
+        assert len(prods[-1].opens) == 1 << 16
+        for prod in prods:
+            _assert_file_format_matches(prod)
+
+    @given(spaces(max_points=6), st.data())
+    def test_text_labels(self, space, data):
+        labels = data.draw(st.lists(st.text(max_size=3), min_size=space.n, max_size=space.n,
+                                    unique=True))
+        relabeled = _relabel(space, labels)
+        _assert_file_format_matches(relabeled)
+        for mask in range(relabeled.full + 1):
+            assert relabeled.labels_of(mask) == ref_labels(relabeled, mask)
+
+    def test_labels_of_every_mask_on_nine_points(self):
+        space = _relabel(make_discrete(9), ["p", "10", "9", "\u00e9", "B", "a", "0", "Z", "b1"])
+        for mask in range(space.full + 1):
+            assert space.labels_of(mask) == ref_labels(space, mask)
+
+    @pytest.mark.parametrize("n", [16, 17, 24])
+    def test_labels_of_sampled_masks(self, n):
+        labels = [str(n - i) if i % 2 else chr(0x3b1 + i) for i in range(n)]
+        space = from_preorder([1 << i for i in range(n)], "discrete", labels)
+        rng = random.Random(n)
+        masks = [0, space.full, *(1 << i for i in range(n)),
+                 *(rng.randrange(space.full + 1) for _ in range(2000))]
+        for mask in masks:
+            assert space.labels_of(mask) == ref_labels(space, mask)
+
+    @pytest.mark.parametrize("obj", [obj for _, obj in MALFORMED + API_TUPLES],
+                             ids=[name for name, _ in MALFORMED + API_TUPLES])
+    def test_malformed_object_raises_the_reference_error(self, obj):
+        want = _error_of(ref_space_from_json, obj)
+        assert want is not None
+        assert _error_of(space_from_json, obj) == want
+
+    @pytest.mark.parametrize("obj", [obj for _, obj in ACCEPTED],
+                             ids=[name for name, _ in ACCEPTED])
+    def test_accepted_file_reads_as_the_reference(self, obj):
+        got, want = space_from_json(obj), ref_space_from_json(obj)
+        assert (got.point_labels, got.nbhds, got.opens) == (
+            want.point_labels, want.nbhds, want.opens)
+
+
+class TestMaskOf:
+    def test_reads_one_memoized_index(self):
+        space = _relabel(make_discrete(3), ["b", "a", "c"])
+        assert space.mask_of(["a", "c"]) == 0b110
+        index = space._cache["label_bits"]
+        assert space.mask_of(["b", "b"]) == 0b001
+        assert space._cache["label_bits"] is index
+
+    def test_unknown_label_message(self):
+        space = _relabel(make_discrete(2), ["a", "b"])
+        with pytest.raises(UnknownLabel, match=r"^unknown point label 'z'$"):
+            space.mask_of(["a", "z"])
