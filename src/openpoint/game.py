@@ -44,8 +44,10 @@ class IllegalMove(Exception):
         self.offender = offender
         self.closed = closed
         self.move = move
+        played = (space.labels_of(move) if 0 <= move <= space.full
+                  else f"mask {move}, not a set of the {space.n} points,")
         super().__init__(
-            f"{offender} played {space.labels_of(move)} at closed state "
+            f"{offender} played {played} at closed state "
             f"{space.labels_of(closed)}: {why}"
         )
 

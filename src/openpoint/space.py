@@ -135,10 +135,12 @@ class FiniteSpace:
         return f"FiniteSpace({self.name!r}, n={self.n}, distinct_nbhds={len(set(self.nbhds))})"
 
     def labels_of(self, mask: int) -> list[str]:
-        """The labels of the points in ``mask``, a set of this space's points, sorted.
+        """The labels of the points in ``mask``, sorted; TopologyError if it is not a set of points.
 
         Read off the ``_label_tables`` of the space, built on first use.
         """
+        if not 0 <= mask <= self.full:
+            raise TopologyError(f"mask {mask} is not a set of the {self.n} points")
         to_rank, by_rank = self.memo("label_tables", _label_tables, self.point_labels)
         return _rank_labels(by_rank, _rank_mask(to_rank, mask))
 
@@ -182,31 +184,49 @@ def _label_tables(point_labels) -> tuple[tuple, tuple]:
     The label of rank r among the n labels (rank 0 for the least string)
     is bit n-1-r of a *rank mask*, so a set's sorted labels are the bits of
     its rank mask from the top down.  ``to_rank`` holds, per 8-bit chunk
-    of a point mask, a table from the chunk's value to the rank bits of its
-    points; ``by_rank`` holds, per chunk of a rank mask from the top chunk
-    down, a table from the chunk's value to its labels in sorted order.
-    Each entry is ``(shift, table)`` with 2^k entries for a chunk of k
-    bits, so a space of at most 8 points has one table of 2^n each way.
+    of a point mask, a list from the chunk's value to the rank bits of its
+    points: 2^k ints for a chunk of k bits, built at once.  ``by_rank``
+    holds, per chunk of a rank mask from the top chunk down, a
+    ``_SortedLabels`` table from the chunk's value to its labels in sorted
+    order, whose entries are built as they are looked up: a space that
+    labels a few sets builds a few label tuples, not 2^k.  Each entry is
+    ``(shift, table)``.
     """
     n = len(point_labels)
     order = sorted(range(n), key=point_labels.__getitem__)
     rank_bit = [0] * n
     for r, x in enumerate(order):
         rank_bit[x] = 1 << (n - 1 - r)
-    label_at = [point_labels[x] for x in reversed(order)]  # the label of each rank bit
+    label_at = [(point_labels[x],) for x in reversed(order)]  # the label of each rank bit
     to_rank, by_rank = [], []
     for lo in range(0, n, 8):
-        ranks, names = [0], [()]
-        for j in range(lo, min(lo + 8, n)):
-            # entry v + 2^(j - lo) adds to entry v point j's rank bit, and the
-            # label of rank bit j, which sorts before the labels of lower bits
-            bit, first = rank_bit[j], (label_at[j],)
-            for v in range(len(ranks)):
-                ranks.append(ranks[v] | bit)
-                names.append(first + names[v])
+        ranks = [0]
+        for bit in rank_bit[lo:lo + 8]:
+            # entry v + 2^j adds to entry v the rank bit of the chunk's point j
+            ranks += [r | bit for r in ranks]
         to_rank.append((lo, ranks))
-        by_rank.append((lo, names))
+        by_rank.append((lo, _SortedLabels(label_at[lo:lo + 8])))
     return tuple(to_rank), tuple(reversed(by_rank))
+
+
+class _SortedLabels(dict):
+    """The sorted labels of each value of one rank-mask chunk, built on first lookup.
+
+    ``names[j]`` is the 1-tuple of the label of the chunk's bit j.  The
+    chunk's highest bit holds the least of its labels, so entry v is that
+    label followed by the entry of v without it.
+    """
+
+    __slots__ = ("names",)
+
+    def __init__(self, names):
+        super().__init__(((0, ()),))
+        self.names = names
+
+    def __missing__(self, v):
+        top = v.bit_length() - 1
+        got = self[v] = self.names[top] + self[v ^ 1 << top]
+        return got
 
 
 def _rank_mask(to_rank, mask: int) -> int:
@@ -310,7 +330,9 @@ def validate_topology(point_labels, raw_opens, name: str = "space") -> FiniteSpa
     labels = tuple(point_labels)
     if len(set(labels)) != len(labels):
         raise DuplicateLabel(f"point labels {labels} contain a duplicate")
-    index = {lab: i for i, lab in enumerate(labels)}
+    # space_from_masks refuses more than MAX_POINTS points before it reads a
+    # mask, so no mask needs a bit past MAX_POINTS: many labels build no wide ints
+    index = {lab: min(i, MAX_POINTS) for i, lab in enumerate(labels)}
     masks = []
     for raw in raw_opens:
         mask = 0
@@ -512,13 +534,17 @@ def _one_pass_masks(obj) -> list[int] | None:
     since an open may repeat a label.  None stands for anything a space
     file must not hold: a field missing or of another type, duplicate
     point labels, an open that is not a list, a label that is not a
-    point's (KeyError) or cannot be one (TypeError).
+    point's (KeyError) or cannot be one (TypeError).  So is a space of
+    more than ``MAX_POINTS`` points, before any ``1 << i`` is built: the
+    checked path refuses it without one wide int per label.
     """
     if type(obj) is not dict:
         return None
     try:
         points, opens = obj["points"], obj["opens"]
         if type(obj["name"]) is not str or type(points) is not list or type(opens) is not list:
+            return None
+        if len(points) > MAX_POINTS:
             return None
         bit_of = _label_bits(points)
         if len(bit_of) != len(points) or not all(type(lab) is str for lab in points):

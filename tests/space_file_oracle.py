@@ -81,6 +81,7 @@ MALFORMED = [
     ("no-points", _space([], [[]])),
     ("too-many-points", _space([f"p{i}" for i in range(17)], [[]])),
     ("too-many-points-with-a-duplicate", _space([f"p{i}" for i in range(16)] + ["p0"], [[]])),
+    ("a-hundred-thousand-points", _space([f"p{i}" for i in range(100_000)], [[], ["p99999"]])),
     ("missing-full-set", _space(["a", "b"], [[], ["a"], ["b"]])),
     ("not-closed-under-union", _space(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b", "c"]])),
 ]

@@ -562,6 +562,15 @@ class TestEvaluate:
             evaluate_chooser(sierpinski, policy)
         assert err.value.offender == "chooser"
 
+    @pytest.mark.parametrize("space", [make_discrete(3), make_discrete(8),
+                                       product(list(make_cli_class_factors())).space],
+                             ids=["D3", "D8", "product16"])
+    def test_illegal_move_outside_the_points_names_the_raw_mask(self, space):
+        for move in (1 << space.n, -1):
+            with pytest.raises(IllegalMove, match=rf"^chooser played mask {move}, not a set of the "
+                                                  rf"{space.n} points, at closed state \[\]: offer is"):
+                evaluate_chooser(space, lambda closed, stage: move)
+
     def test_restricted_rejects_overlapping_offer(self, sierpinski):
         policy = lambda closed, stage: sierpinski.full
         # first offer is fine; the follow-up meets the closure

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -659,6 +660,35 @@ class TestSpaceFileAgainstReference:
                  *(rng.randrange(space.full + 1) for _ in range(2000))]
         for mask in masks:
             assert space.labels_of(mask) == ref_labels(space, mask)
+
+    @pytest.mark.parametrize("n", [8, 9, 16])
+    def test_labels_of_refuses_a_mask_outside_the_points(self, n):
+        space = from_preorder([1 << i for i in range(n)], "discrete", [f"p{i}" for i in range(n)])
+        for mask in (-1, space.full + 1, 1 << n, 1 << n | 1):
+            with pytest.raises(TopologyError, match=rf"^mask {mask} is not a set of the {n} points$"):
+                space.labels_of(mask)
+
+    def test_labelling_a_few_sets_builds_a_few_label_entries(self):
+        space = next(iter(_cli_class_products()))
+        masks = [1, space.full, 0b1000_0000_0000_0011]
+        for mask in masks:
+            assert space.labels_of(mask) == ref_labels(space, mask)
+        _, by_rank = space._cache["label_tables"]
+        # the empty entry of each chunk and at most 8 per chunk a set reaches
+        assert sum(len(table) for _, table in by_rank) <= 2 + 8 * 2 * len(masks)
+
+    def test_many_point_labels_are_refused_without_wide_masks(self):
+        labels = [f"p{i}" for i in range(20_000)]
+        obj = {"name": "s", "points": labels, "opens": [[], *[[labels[-1]]] * 5_000]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=r"^20000 points exceeds the 16-point cap$"):
+                space_from_json(obj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an int 1 << i per label, or per open naming the last one, takes tens of MB
+        assert peak < 8 << 20
 
     @pytest.mark.parametrize("obj", [obj for _, obj in MALFORMED + API_TUPLES],
                              ids=[name for name, _ in MALFORMED + API_TUPLES])
