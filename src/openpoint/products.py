@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, islice, product as iter_product
 from math import prod as size_product
 from operator import or_
@@ -210,30 +210,49 @@ def _irredundant(keys: list[int]) -> bool:
 
 
 def _point_keys(sub: ProductSpace) -> list[int]:
-    """Each point's coordinates' factor closures, packed axis by axis."""
-    factor_cl = [f.point_closures() for f in sub.factors]
-    out = []
-    for p in range(sub.space.n):
-        key = shift = 0
-        for coord, pcl, f in zip(sub.decode(p), factor_cl, sub.factors):
-            key |= pcl[coord] << shift
-            shift += f.n
-        out.append(key)
-    return out
+    """Each point's coordinates' factor closures, packed axis by axis.
+
+    The keys spread an axis at a time in index order, as ``_product_succ``
+    spreads the rows.
+    """
+    keys = [0]
+    shift = 0
+    for f in sub.factors:
+        keys = [key | pcl << shift for key in keys for pcl in f.point_closures()]
+        shift += f.n
+    return keys
 
 
-def _fibres(sub: ProductSpace) -> list[int]:
-    """Every fibre: the box of one coordinate on one axis and the whole factor elsewhere."""
-    fulls = [f.full for f in sub.factors]
-    return [
-        sub.box_mask(fulls[:axis] + [1 << coord] + fulls[axis + 1:])
-        for axis, size in enumerate(sub.sizes)
-        for coord in range(size)
-    ]
+@cache
+def _fibre_sets(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """One table per product shape: entry m is the set of fibres that meet m.
+
+    A fibre is one coordinate on one axis (the whole factor elsewhere); it
+    is bit ``offset + coord``, where ``offset`` is the number of points of
+    the earlier factors.  These are constants of the shape, 2^pts entries.
+    """
+    own = [0]
+    offset = 0
+    for size in sizes:
+        own = [fibres | 1 << offset + coord for fibres in own for coord in range(size)]
+        offset += size
+    met = [0] * (1 << len(own))
+    for m in range(1, len(met)):
+        low = m & -m
+        met[m] = met[m ^ low] | own[low.bit_length() - 1]
+    return tuple(met)
 
 
 def _fan_cells(sub: ProductSpace, kappa: int, candidate_policy: str) -> tuple:
-    """(U, its first witness family or None) for every non-empty open U of ``sub``."""
+    """(U, its first witness family or None) for every non-empty open U of ``sub``.
+
+    Some projection of U minus D shrinks exactly when U minus D meets
+    fewer fibres than U, and a closed set D for which none does defeats the
+    family.  Both fibre sets are read off one table per shape
+    (``_fibre_sets``), built only once the subproduct passes the
+    ``SUBSET_LOOP_CAP`` test, so it has at most 2^12 entries.  Each
+    family's closed sets are kept complemented, so U minus D is one ``&``.
+    """
     opens_nonempty = [u for u in sub.space.opens if u]
     if (1 << sub.space.n) > SUBSET_LOOP_CAP:
         return tuple((u, None) for u in opens_nonempty)
@@ -247,19 +266,26 @@ def _fan_cells(sub: ProductSpace, kappa: int, candidate_policy: str) -> tuple:
     member_closures = {
         v: _slice_closures(sub.space, keys, v) for fam in families for v in fam
     }
-    closure_sets = [
-        inclusion_minimal(
+    full = sub.space.full
+    complements = [
+        [full ^ d for d in inclusion_minimal(
             reduce(or_, combo, 0)
             for combo in iter_product(*(member_closures[v] for v in fam))
-        )
+        )]
         for fam in families
     ]
-    fibres = _fibres(sub)
+    met = _fibre_sets(sub.sizes)
     cells = []
     for u in opens_nonempty:
-        slices = [u & f for f in fibres if u & f]
-        found = next((fam for fam, dset in zip(families, closure_sets)
-                      if all(any(s & ~d == 0 for s in slices) for d in dset)), None)
+        mu = met[u]
+        found = None
+        for fam, outside in zip(families, complements):
+            for not_d in outside:
+                if met[u & not_d] == mu:
+                    break  # D defeats the family: no projection of U minus D shrinks
+            else:
+                found = fam
+                break
         cells.append((u, found))
     return tuple(cells)
 
@@ -282,12 +308,14 @@ def fan_tightness_check(factors, kappa: int,
     closures of the minimal qualifying pick-sets decide a cell, and each is
     a union of minimal qualifying slices, one per member; closure is
     additive, so D runs over the unions of one minimal slice closure per
-    member.  A projection of U minus D shrinks exactly when some non-empty
-    fibre slice of U (its points with one coordinate on one axis) lies in
-    D.  Each subproduct's cells are searched once per kappa and pool and
-    kept in its space's memo.  More than 12 factors are refused before any
-    product is built: with at least two points each they exceed
-    ``POINTS_CAP``.
+    member.  A projection of U minus D shrinks exactly when U minus D
+    meets fewer fibres than U (a fibre is the set of points with one
+    coordinate on one axis).  Both fibre sets are read off one table per
+    subproduct shape, built only for subproducts within
+    ``SUBSET_LOOP_CAP``, so it has at most 2^12 entries.  Each
+    subproduct's cells are searched once per kappa and pool and kept in its
+    space's memo.  More than 12 factors are refused before any product is
+    built: with at least two points each they exceed ``POINTS_CAP``.
     """
     factors = tuple(factors)
     if kappa < 1:

@@ -31,6 +31,22 @@ def discrete2_file(tmp_path):
 # sha256 of ``solve`` on the product of ``make_cli_class_factors()``
 SIXTEEN_POINT_SOLVE_SHA256 = "d5a75ddfbd8ba60a010931e090ff0123138cd558f9bd88848e93365483ebff3f"
 
+# the factors S x C3 x D2 of the fan-check spec that CI runs
+CI_FAN_SPEC = {"factors": [
+    {"name": "S", "points": ["a", "b"], "opens": [[], ["b"], ["a", "b"]]},
+    {"name": "C3", "points": ["p", "q", "r"],
+     "opens": [[], ["p"], ["p", "q"], ["p", "q", "r"]]},
+    {"name": "D2", "points": ["x", "y"], "opens": [[], ["x"], ["y"], ["x", "y"]]},
+]}
+# sha256 of ``fan-check`` stdout on ``CI_FAN_SPEC`` by (kappa, pool): 140 lines
+# each, the verdict and one witness family per cell, in cell order
+CI_FAN_CHECK_SHA256 = {
+    (1, "boxes"): "3fd70e2f27eb5fefc1932e489f9de966e05684ef8e2d45fc66bf6bb4229711e9",
+    (1, "all"): "3fd70e2f27eb5fefc1932e489f9de966e05684ef8e2d45fc66bf6bb4229711e9",
+    (2, "boxes"): "72677415c2f2c3119c2e5ff4401c90ea0cffbdb1854b0e882537ec6c51109a31",
+    (2, "all"): "aae97867b67b2c8068e745f3c7f49c644266dc19573b98ad02994e90d4461456",
+}
+
 
 def invoke(argv, stdin_text=""):
     out, err = io.StringIO(), io.StringIO()
@@ -517,6 +533,16 @@ class TestFanCheck:
                   (0, 1): {"(a,p0)", "(a,p1)", "(b,p0)", "(b,p1)"}}
         for c in cells:
             assert set(c["open"]) <= points[tuple(c["gamma"])]
+
+    @pytest.mark.parametrize("kappa, pool", sorted(CI_FAN_CHECK_SHA256))
+    def test_ci_spec_output_is_pinned(self, tmp_path, kappa, pool):
+        # guards every witness family and the order of the cells
+        spec = tmp_path / "fan.json"
+        spec.write_text(json.dumps(CI_FAN_SPEC))
+        code, out, err = invoke(["fan-check", str(spec), "--kappa", str(kappa), "--pool", pool])
+        assert code == 0, err
+        assert len(out.splitlines()) == 140
+        assert hashlib.sha256(out.encode()).hexdigest() == CI_FAN_CHECK_SHA256[(kappa, pool)]
 
 
 class TestGreedy:

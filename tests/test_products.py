@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from openpoint.enumeration import canonical_form
-from openpoint.game import solve_game
+from openpoint.game import solve_game, solved_gd
 from openpoint.invariants import pi_weight
 from openpoint.products import (
     FanStatus,
     _box,
-    _fibres,
+    _fan_cells,
+    _fibre_sets,
+    _point_keys,
     _product_succ,
     fan_tightness_check,
     minimal_open_boxes,
@@ -30,7 +32,12 @@ from openpoint.space import (
 )
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski
-from .fan_oracle import fan_tightness_oracle
+from .fan_oracle import (
+    fan_tightness_oracle,
+    reference_fan_cells,
+    reference_fibres,
+    reference_point_keys,
+)
 from .util import spaces
 
 
@@ -187,17 +194,9 @@ def reference_box(sizes, factor_masks):
     return mask
 
 
-def reference_fibres(prod):
-    """Every fibre, each point decoded and filed under each of its coordinates."""
-    per_axis = [[0] * size for size in prod.sizes]
-    for idx in range(prod.space.n):
-        for masks, coord in zip(per_axis, prod.decode(idx)):
-            masks[coord] |= 1 << idx
-    return [mask for masks in per_axis for mask in masks]
-
-
 class TestIndexRule:
-    """Boxes, rows and fibres spread axis by axis, against the point-by-point encoding."""
+    """Boxes, rows, point keys and fibre sets spread axis by axis, against the
+    point-by-point encoding."""
 
     @settings(max_examples=60, deadline=None)
     @given(factor_lists(), st.data())
@@ -210,7 +209,14 @@ class TestIndexRule:
         rows = tuple(reference_box(sizes, [f.nbhds[c] for f, c in zip(factors, coords)])
                      for coords in every)
         assert _product_succ(factors) == rows == prod.space.nbhds
-        assert _fibres(prod) == reference_fibres(prod)
+        assert _point_keys(prod) == reference_point_keys(prod)
+        if prod.space.n <= 12:
+            # bit i of entry m: reference fibre i meets m
+            fibres = reference_fibres(prod)
+            met = _fibre_sets(sizes)
+            assert len(met) == 1 << prod.space.n
+            for m, got in enumerate(met):
+                assert got == sum(1 << i for i, f in enumerate(fibres) if m & f)
         masks = [data.draw(st.integers(min_value=0, max_value=f.full)) for f in factors]
         assert _box(sizes, masks) == prod.box_mask(masks) == reference_box(sizes, masks)
 
@@ -422,3 +428,51 @@ class TestFanTightness:
         factors = [make_indiscrete(16)] * 3  # 4096 points, over the all-opens cap
         with pytest.raises(TooLarge):
             fan_tightness_check(factors, 2, "all")
+
+    def test_no_table_past_the_subset_cap(self, monkeypatch):
+        import openpoint.products as products
+
+        shapes = []
+        fibre_sets = products._fibre_sets
+
+        def counted(sizes):
+            shapes.append(sizes)
+            return fibre_sets(sizes)
+
+        monkeypatch.setattr(products, "_fibre_sets", counted)
+        d4 = make_discrete(4)
+        verdict = fan_tightness_check([d4, d4], 1, "boxes")
+        assert verdict.status is FanStatus.UNKNOWN
+        assert shapes == [(4,)]  # D4 alone, once: its memo serves the second axis
+
+
+class TestFanCells:
+    """``_fan_cells`` against the fibre-slice scan it replaced, witnesses and order included."""
+
+    def test_cells_that_fan_link_searches(self, labeled_corpus):
+        factors = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
+        searched = set()
+        for x, y in itertools.product(factors, repeat=2):
+            kappa = max(2, solved_gd(x), solved_gd(y))
+            for sub_factors in ([x], [y], [x, y]):
+                key = (tuple(f.name for f in sub_factors), kappa)
+                if key not in searched:
+                    searched.add(key)
+                    sub = product(sub_factors)
+                    assert _fan_cells(sub, kappa, "boxes") == reference_fan_cells(sub, kappa, "boxes")
+        assert len(searched) == 1223
+
+    def test_representative_pairs_with_every_open(self, small_spaces):
+        assert len(small_spaces) == 13
+        for x, y in itertools.product(small_spaces, repeat=2):
+            sub = product([x, y])
+            for kappa in (1, 2, 3):
+                assert _fan_cells(sub, kappa, "all") == reference_fan_cells(sub, kappa, "all")
+
+    def test_three_factor_products(self, unlabeled_corpus):
+        twos, threes = unlabeled_corpus[2], unlabeled_corpus[3]
+        for triple in itertools.product(twos, twos, threes):
+            sub = product(list(triple))
+            assert sub.space.n == 12
+            for kappa in (1, 2, 3):
+                assert _fan_cells(sub, kappa, "boxes") == reference_fan_cells(sub, kappa, "boxes")
