@@ -17,6 +17,7 @@ from operator import attrgetter, itemgetter
 from .game import (
     GameVariant,
     StrategyTable,
+    _reply_closures,
     evaluate_chooser,
     exact_force_set,
     solve_game,
@@ -189,10 +190,15 @@ def _check_kuratowski(space):
     for s, cs in enumerate(cls):
         if cs & s != s or cls[cs] != cs:
             return {"subset": s}
-    for s, cs in enumerate(cls):
-        for t in range(s + 1, space.full + 1):
-            if cls[s | t] != cs | cls[t]:
-                return {"subset": s, "other": t}
+    return _additivity_failure(cls)
+
+
+def _additivity_failure(cls):
+    """The first T with cl(T) not cl(S) | cl{x}, x its top point: with none, induction gives all pairs."""
+    for t in range(1, len(cls)):
+        top = 1 << t.bit_length() - 1
+        if cls[t] != cls[t ^ top] | cls[top]:
+            return {"subset": t ^ top, "other": top}
     return None
 
 
@@ -299,22 +305,26 @@ def _check_subspace_monotone(space):
     int(cl U), which lies in cl U; for a dense D, cl D is the whole space.
     So a failed identity points at a wrong closure table.  The whole space
     is no subject: gd <= gd cannot fail, and its identity is cl(X) = X,
-    which ``kuratowski`` checks.  Each subspace's gd
-    comes from the solver, its oracle here, on a table ``within`` S in the
-    space's own coordinates (the trace lemma of ``StrategyTable``), so no
-    subspace is built; ``space.subspace`` is the tests' reference for it.
+    which ``kuratowski`` checks.  Each subspace's gd comes from the solver
+    on a table ``within`` S, so no subspace is built, with replies cut from
+    the space's minimal opens m: an open U keeps the m inside it, closing
+    cl(m) & U, and a dense D, which meets every m, the m & D, closing
+    cl(m) & D, sorted (on ``T3.17`` with D = {0, 1} they swap).  That gd
+    must not pass gd(X) and must equal the structural gd, the reply count.
     """
-    gd = solved_gd(space)
-    cls = closures(space)
-    subjects = {u for u in space.opens if 0 < u < space.full}
-    subjects |= {a for a in range(1, space.full) if cls[a] == space.full}
-    for s in sorted(subjects):
+    gd, full = solved_gd(space), space.full
+    cls, replies = closures(space), _reply_closures(space)
+    subjects = {d: sorted((m & d, c & d) for m, c in replies) for d in range(1, full) if cls[d] == full}
+    subjects.update((u, [(m, c & u) for m, c in replies if m & u]) for u in space.opens if 0 < u < full)
+    for s, sub_replies in sorted(subjects.items()):
         cl_s = cls[s]
         if cls[interior(space, cl_s)] != cl_s:
             return {"subset": s, "reason": "regularity identity failed"}
-        sub_gd = StrategyTable(space, s).gd
+        sub_gd = StrategyTable(space, s, sub_replies).gd
         if sub_gd > gd:
             return {"subset": s, "sub_gd": sub_gd, "gd": gd}
+        if sub_gd != len(sub_replies):
+            return {"subset": s, "sub_gd": sub_gd, "minimal_opens": len(sub_replies)}
     return None
 
 

@@ -19,7 +19,6 @@ from .space import (
     FiniteSpace,
     TooLarge,
     bits,
-    inclusion_minimal,
     minimal_opens,
     popcount,
     subset_points,
@@ -108,23 +107,27 @@ class StrategyTable:
     TooLarge, naming the cap.  It counts the states solved, not a bound on
     them, so a table is refused only once it has done that much work.
 
-    Given a set S = ``within`` of the space's points, the table solves the
-    game on the subspace S in the space's own coordinates, and builds no
-    subspace.  On S the smallest open around x is the trace N(x) & S, and
-    cl_S{x} = cl{x} & S.  So the replies are the inclusion-minimal traces
-    m, each with ``cl(m) & S``; the terminal state is S, and the floor
-    counts |S| points in place of n.  ``subspace(space, S)`` relabels S by
-    an increasing map, which keeps the numeric order of masks: the reply
-    order, the floor, every value and every best move are the relabeled
-    subspace table's.  Without ``within`` the table solves the whole space.
+    Given ``within`` = S and its ``replies``, the table solves the game on
+    the subspace S in the space's own coordinates, and builds no subspace.
+    There N(x) & S is the smallest open around x and cl{x} & S its closure,
+    so the replies are the inclusion-minimal traces m in increasing order,
+    each with ``cl(m) & S``; the terminal state is S, and the floor counts
+    |S| points.  A ``within`` without ``replies`` is refused.  ``subspace``
+    relabels S by an increasing map, which keeps the numeric order of
+    masks: every value and best move are the relabeled subspace table's.
     """
 
-    def __init__(self, space: FiniteSpace, within: int | None = None):
-        within = space.full if within is None else within
+    def __init__(self, space: FiniteSpace, within: int | None = None, replies: list | None = None):
+        if within is None:
+            within, replies = space.full, _reply_closures(space)
+        elif replies is None:
+            raise ValueError("a table within a subset needs that subset's reply list")
+        elif not 0 < within <= space.full:
+            subset_points(space, within)  # raises the refusal that names the mask
         self.space = space
         self.value: dict[int, float] = {within: 0}
         self.best_move: dict[int, int] = {}
-        self._replies = _reply_closures(space, within)
+        self._replies = replies
         self._widest = max((add.bit_count() for _, add in self._replies), default=1)
         self._last = within.bit_count() - 1
         self._cut = True
@@ -181,21 +184,10 @@ class StrategyTable:
             yield rec
 
 
-def _reply_closures(space: FiniteSpace, within: int) -> list[tuple[int, int]]:
-    """``(m, cl(m) & within)`` per minimal open m of the subspace ``within``.
-
-    The m are the inclusion-minimal traces N(x) & within, in increasing
-    mask order; on the whole space they are the memoized ``minimal_opens``.
-    Offering m at ``closed`` leads to ``closed | cl(m) & within`` whatever
-    the picker takes from m; ``cl(m)`` is read off its lowest point.
-    """
-    if within == space.full:
-        mins = minimal_opens(space)
-    else:
-        rows = space.nbhds
-        mins = inclusion_minimal([rows[x] & within for x in subset_points(space, within)])
+def _reply_closures(space: FiniteSpace) -> list[tuple[int, int]]:
+    """``(m, cl(m))`` per minimal open m, in increasing order; cl(m) is read off its lowest point."""
     clpt = space.point_closures()
-    return [(m, clpt[(m & -m).bit_length() - 1] & within) for m in mins]
+    return [(m, clpt[(m & -m).bit_length() - 1]) for m in minimal_opens(space)]
 
 
 def solve_game(space: FiniteSpace) -> StrategyTable:
@@ -214,17 +206,13 @@ def solve_game(space: FiniteSpace) -> StrategyTable:
     return table
 
 
-def _gd(space: FiniteSpace) -> int:
-    return StrategyTable(space).gd
-
-
 def solved_gd(space: FiniteSpace) -> int:
     """The game value of ``space``, for every variant, solved once per space.
 
     A lazy table cut by its floor solves the line it plays, not every
     state; only the integer is kept on the space, and the table is dropped.
     """
-    return space.memo("gd", _gd, space)
+    return space.memo("gd", lambda: StrategyTable(space).gd)
 
 
 def exact_force_set(space: FiniteSpace) -> frozenset[int]:
@@ -235,7 +223,7 @@ def exact_force_set(space: FiniteSpace) -> frozenset[int]:
     the restricted rule, the formulation under which outcomes are unchanged
     and the recursion is well-founded.
     """
-    replies = _reply_closures(space, space.full)
+    replies = _reply_closures(space)
     memo: dict[int, frozenset[int]] = {space.full: frozenset({0})}
 
     def visit(closed: int) -> frozenset[int]:

@@ -13,6 +13,7 @@ in this module assumes the inequality chain it is used to verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .space import (
     FiniteSpace,
@@ -24,9 +25,9 @@ from .space import (
 )
 
 
-def _subsets_by_size(full: int):
-    masks = sorted(range(full + 1), key=popcount)
-    return masks
+@cache
+def _subsets_by_size(n: int) -> tuple[int, ...]:
+    return tuple(sorted(range(1 << n), key=popcount))
 
 
 def density(space: FiniteSpace) -> int:
@@ -39,7 +40,7 @@ def density(space: FiniteSpace) -> int:
 
 
 def density_brute(space: FiniteSpace) -> int:
-    for mask in _subsets_by_size(space.full):
+    for mask in _subsets_by_size(space.n):
         if closure(space, mask) == space.full:
             return popcount(mask)
     raise AssertionError("the full set is always dense")
@@ -131,7 +132,7 @@ def dense_densities(space: FiniteSpace):
     ``closures``.
     """
     cls = closures(space)
-    by_size = _subsets_by_size(space.full)
+    by_size = _subsets_by_size(space.n)
     for a in range(1, space.full + 1):
         if cls[a] == space.full:
             yield a, next(popcount(z) for z in by_size if z & a == z and cls[z] & a == a)
@@ -143,21 +144,22 @@ def delta_oracle(space: FiniteSpace) -> int:
 
 
 def tightness(space: FiniteSpace) -> int:
-    """max over (x, Y) with x in cl(Y) of the least |Z|, Z in Y, x in cl(Z)."""
-    worst = 0
-    by_size = _subsets_by_size(space.full)
-    cls = closures(space)
-    for x in range(space.n):
-        for y_set in range(1, space.full + 1):
-            if not cls[y_set] >> x & 1:
-                continue
-            need = None
-            for z in by_size:
-                if z and z & y_set == z and cls[z] >> x & 1:
-                    need = popcount(z)
+    """max over (x, Y) with x in cl(Y) of the least |Z|, Z in Y, x in cl(Z).
+
+    One sweep per Y of its subsets Z by size, striking the points of cl(Y)
+    each cl(Z) reaches: the Z that strikes the last one has the largest
+    least |Z|.  No additivity is assumed.
+    """
+    worst, cls = 0, closures(space)
+    by_size = _subsets_by_size(space.n)[1:]
+    for y_set in range(1, space.full + 1):
+        left = cls[y_set]
+        for z in by_size:
+            if z & y_set == z and left & cls[z]:
+                left &= ~cls[z]
+                if not left:
+                    worst = max(worst, popcount(z))
                     break
-            assert need is not None
-            worst = max(worst, need)
     return worst
 
 

@@ -6,11 +6,28 @@ non-empty open the variant allows, and the picker may answer with every
 point of the offer or, in the multi-point variant, every non-empty subset,
 each closed point by point.  It costs far more than the solver, so it is
 kept for the tests only.
+
+``trace_replies`` finds the reply list of the game on a subspace from its
+own traces, for any subset; ``subspace-monotone`` restricts the whole
+space's list to its open and dense subjects instead.
 """
 
 import math
 
 from openpoint.game import GameVariant
+from openpoint.space import inclusion_minimal, subset_points
+
+
+def trace_replies(space, within):
+    """``(m, cl(m) & within)`` per inclusion-minimal trace m = N(x) & within, in increasing order.
+
+    These are the minimal opens of the subspace ``within``, each with its
+    closure there, read off its lowest point: what ``StrategyTable`` takes
+    as ``replies`` for that ``within``.
+    """
+    rows, clpt = space.nbhds, space.point_closures()
+    mins = inclusion_minimal([rows[x] & within for x in subset_points(space, within)])
+    return [(m, clpt[(m & -m).bit_length() - 1] & within) for m in mins]
 
 
 def _points(mask):

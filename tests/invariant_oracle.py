@@ -5,8 +5,10 @@ opens, k = 1, 2, ..., where ``invariants`` runs a least-cover search.
 ``delta_by_subspaces`` builds every dense subspace and brute-forces its
 density, where ``invariants.delta_oracle`` reads ``closures`` alone.
 ``subspace_trace`` traces the whole open lattice on the subset and
-validates the traces, where ``space.subspace`` restricts the rows.  They
-cost exponentially more, so they are kept for the tests only.
+validates the traces, where ``space.subspace`` restricts the rows.
+``tightness_scan`` searches the least Z once per pair (x, Y), where
+``invariants.tightness`` sweeps the subsets of each Y once.  They cost
+more, most of them exponentially more, so they are kept for the tests only.
 """
 
 from itertools import combinations
@@ -63,3 +65,20 @@ def delta_by_subspaces(space) -> int:
     cls = closures(space)
     return max(density_brute(subspace_trace(space, a))
                for a in range(1, space.full + 1) if cls[a] == space.full)
+
+
+def tightness_scan(cls) -> int:
+    """max over (x, Y) with x in cl(Y) of the least |Z|, Z in Y, x in cl(Z), on a closure table.
+
+    One scan of the non-empty subsets by size for each pair; ``cls`` is
+    indexed by subset, as ``closures`` gives it.
+    """
+    full = len(cls) - 1
+    by_size = sorted(range(1, full + 1), key=int.bit_count)
+    worst = 0
+    for x in range(full.bit_length()):
+        for y_set in range(1, full + 1):
+            if cls[y_set] >> x & 1:
+                need = next(z.bit_count() for z in by_size if z & y_set == z and cls[z] >> x & 1)
+                worst = max(worst, need)
+    return worst

@@ -5,14 +5,16 @@ from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from openpoint import enumeration
 from openpoint.enumeration import (
     PAIR_CHECKS,
     SPACE_CHECKS,
+    _additivity_failure,
     _check_dense_lower_bound,
     _check_exact_force,
+    _check_kuratowski,
     _check_metric,
     _check_oracles,
     _check_subspace_monotone,
@@ -25,12 +27,12 @@ from openpoint.enumeration import (
 )
 from openpoint.game import GameVariant
 from openpoint.products import FanStatus
-from openpoint.space import FiniteSpace, TooLarge, bits, is_dense, space_from_masks
+from openpoint.space import FiniteSpace, TooLarge, bits, closures, is_dense, space_from_masks
 from openpoint.strategies import dense_point_picker
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski, make_two_sierpinski
-from .game_oracle import chooser_line_lengths
-from .util import spaces
+from .game_oracle import chooser_line_lengths, trace_replies
+from .util import closure_tables, spaces
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
 UNLABELED_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33}
@@ -41,6 +43,15 @@ def _permute_mask(mask, perm):
     for i in bits(mask):
         out |= 1 << perm[i]
     return out
+
+
+def all_pairs_additivity_failure(cls):
+    """The first pair s < t of subsets, in order, with cl(s | t) other than cl(s) | cl(t)."""
+    for s, cs in enumerate(cls):
+        for t in range(s + 1, len(cls)):
+            if cls[s | t] != cs | cls[t]:
+                return {"subset": s, "other": t}
+    return None
 
 
 def brute_canonical_form(space):
@@ -79,7 +90,7 @@ BROKEN_ROUTES = [
      lambda real: lambda space: SimpleNamespace(value={**real(space).value, 0: 0}),
      {"larger": 0b0011, "smaller": 0}),
     ("subspace-monotone", "StrategyTable",  # a subspace with more minimal opens
-     lambda real: lambda space, within: real(make_discrete(space.n + 1)),
+     lambda real: lambda space, within, replies: real(make_discrete(space.n + 1)),
      {"subset": 0b0010, "sub_gd": 5, "gd": 2}),
     ("dense-lower-bound", "dense_densities",
      lambda real: lambda space: ((a, d + 1) for a, d in real(space)),
@@ -293,9 +304,9 @@ class TestSuite:
     def test_subspace_monotone_never_solves_the_whole_space(self, monkeypatch, labeled_corpus):
         real, seen = enumeration.StrategyTable, []
 
-        def spy(space, within):
+        def spy(space, within, replies):
             seen.append((space, within))
-            return real(space, within)
+            return real(space, within, replies)
 
         monkeypatch.setattr(enumeration, "StrategyTable", spy)
         for spaces_n in labeled_corpus.values():
@@ -303,6 +314,55 @@ class TestSuite:
                 assert _check_subspace_monotone(space) is None, space.name
         assert len(seen) > 355
         assert all(within != space.full for space, within in seen)
+
+    @staticmethod
+    def _subject_replies(monkeypatch, space):
+        """{S: the reply list ``subspace-monotone`` hands the table within S}, for a passing space."""
+        real, lists = enumeration.StrategyTable, {}
+
+        def spy(space, within, replies):
+            lists[within] = replies
+            return real(space, within, replies)
+
+        monkeypatch.setattr(enumeration, "StrategyTable", spy)
+        assert _check_subspace_monotone(space) is None, space.name
+        monkeypatch.undo()
+        return lists
+
+    def test_subject_replies_are_the_trace_replies(self, monkeypatch, oracle_corpus):
+        # every open and dense subject's list, cut from the whole space's,
+        # against the minimal traces found on the subject itself, order
+        # included: on n <= 4 and the 992 five-point spaces
+        assert len(oracle_corpus) == 1 + 4 + 29 + 355 + 992
+        subjects = 0
+        for space in oracle_corpus:
+            cls, full = closures(space), space.full
+            lists = self._subject_replies(monkeypatch, space)
+            wanted = {u for u in space.opens if 0 < u < full}
+            wanted |= {d for d in range(1, full) if cls[d] == full}
+            assert set(lists) == wanted, space.name
+            for s, replies in lists.items():
+                assert replies == trace_replies(space, s), (space.name, s)
+            subjects += len(lists)
+        assert subjects == 16087
+
+    def test_dense_traces_are_sorted(self, monkeypatch, labeled_corpus):
+        # T3.17, rows 5, 2, 5: minimal opens {1} and {0, 2}; on the dense
+        # D = {0, 1} their traces come out as {1}, {0}, out of order
+        space = labeled_corpus[3][17]
+        assert (space.name, space.nbhds) == ("T3.17", (0b101, 0b010, 0b101))
+        assert [m & 0b011 for m in enumeration.minimal_opens(space)] == [0b010, 0b001]
+        replies = self._subject_replies(monkeypatch, space)[0b011]
+        assert replies == [(0b001, 0b001), (0b010, 0b010)] == trace_replies(space, 0b011)
+
+    def test_subspace_monotone_checks_the_structural_gd(self, monkeypatch):
+        # a solver one stage short on every subspace passes gd <= gd, and
+        # only gd(S) = |minimal opens of S| catches it
+        real = enumeration.StrategyTable
+        monkeypatch.setattr(enumeration, "StrategyTable", lambda space, within, replies: (
+            SimpleNamespace(gd=real(space, within, replies).gd - 1)))
+        assert _check_subspace_monotone(make_two_sierpinski()) == {
+            "subset": 0b0010, "sub_gd": 0, "minimal_opens": 1}
 
     def test_records_stream_in_report_order(self):
         # at n = 3 the pair subjects fall between the space subjects
@@ -350,6 +410,25 @@ class TestSuite:
         assert fn(*_subject(check)) is None
         monkeypatch.setattr(enumeration, route, breaking(getattr(enumeration, route)))
         assert fn(*_subject(check)) == payload
+
+    @given(closure_tables())
+    @example((0b1, 0b0))  # its one failing pair is (0, {0}): cl(0) is not inside cl{0}
+    @example((0, 0b01, 0b10, 0b01))  # its one failing set, {0, 1}, holds the top point
+    @settings(max_examples=300)
+    def test_additivity_by_top_points_fails_with_every_pair(self, cls):
+        assert (_additivity_failure(cls) is None) == (all_pairs_additivity_failure(cls) is None)
+
+    def test_kuratowski_tests_splits_at_the_last_point(self, monkeypatch):
+        space = make_two_sierpinski()
+        assert _check_kuratowski(space) is None
+        # cl{a, d} = everything, past cl{a} | cl{d} = {a, c, d}: still
+        # extensive and idempotent, and only a split at d, the last point, sees it
+        table = list(closures(space))
+        assert table[0b1001] == 0b1101
+        table[0b1001] = 0b1111
+        monkeypatch.setattr(enumeration, "closures", lambda space: tuple(table))
+        assert _check_kuratowski(space) == {"subset": 0b0001, "other": 0b1000}
+        assert all_pairs_additivity_failure(table) == {"subset": 0b0001, "other": 0b1000}
 
     def test_one_point_space_all_space_checks(self):
         ok, records = _suite(

@@ -12,6 +12,7 @@ from openpoint.game import (
     GameVariant,
     IllegalMove,
     StrategyTable,
+    _reply_closures,
     evaluate_chooser,
     exact_force_set,
     first_point_picker,
@@ -42,7 +43,7 @@ from openpoint.space import (
 )
 
 from .conftest import make_chain, make_cli_class_factors, make_discrete, make_indiscrete
-from .game_oracle import oracle_values
+from .game_oracle import oracle_values, trace_replies
 from .util import spaces
 
 ALL_VARIANTS = list(GameVariant)
@@ -297,38 +298,28 @@ class TestFloor:
     # The lemma needs only that a stage adds at most ``a`` points, so it is
     # checked on reply lists whose replies differ, where a floor set too
     # high would stop at a worse reply.
-    def _assert_a_later_reply_wins(self, monkeypatch, space, within=None):
-        import openpoint.game as game
-
+    def _assert_a_later_reply_wins(self, space):
         p = [1 << i for i in range(6)]
         # the first reply leaves five points, which take two more stages;
         # the second leaves three, which the third closes in one
         replies = [(p[0], p[0]), (p[1], p[1] | p[2] | p[3]), (p[4], p[0] | p[4] | p[5])]
-        monkeypatch.setattr(game, "_reply_closures", lambda space, within: replies)
-        lazy = StrategyTable(space, within)
+        lazy = StrategyTable(space, (1 << 6) - 1, replies)
         assert (lazy.gd, lazy.best_move[0]) == (2, p[1])
         self._assert_agrees(lazy, *_full_scan(replies, (1 << 6) - 1))
 
-    def test_a_later_reply_can_be_the_best(self, monkeypatch):
-        self._assert_a_later_reply_wins(monkeypatch, make_discrete(6))
+    def test_a_later_reply_can_be_the_best(self):
+        self._assert_a_later_reply_wins(make_discrete(6))
 
-    def test_a_trace_floor_counts_its_own_points(self, monkeypatch):
+    def test_a_trace_floor_counts_its_own_points(self):
         # the same replies on 6 of 7 points: a floor that counted all 7
         # would stop at the first reply
-        self._assert_a_later_reply_wins(monkeypatch, make_discrete(7), (1 << 6) - 1)
+        self._assert_a_later_reply_wins(make_discrete(7))
 
     @given(reply_lists())
     @settings(max_examples=200)
     def test_any_reply_list(self, case):
-        import openpoint.game as game
-
         n, replies = case
-        real = game._reply_closures
-        game._reply_closures = lambda space, within: replies
-        try:
-            lazy = StrategyTable(make_discrete(n))
-        finally:
-            game._reply_closures = real
+        lazy = StrategyTable(make_discrete(n), (1 << n) - 1, replies)
         self._assert_agrees(lazy, *_full_scan(replies, (1 << n) - 1))
 
     def test_lazy_table_keeps_the_state_cap(self, monkeypatch):
@@ -379,7 +370,8 @@ class TestTrace:
     ``subspace`` re-indexes S by ``_compress``, an increasing map, so the
     trace table relabeled by it must be that subspace's table exactly.  The
     trace table is completed as in ``TestFloor``: its lazy solve, then
-    every state of the subspace's complete table, mapped back into S.
+    every state of the subspace's complete table, mapped back into S.  Its
+    replies are the reference ``trace_replies``, found for any S.
     """
 
     @staticmethod
@@ -392,7 +384,8 @@ class TestTrace:
         for space in [s for n in range(1, 5) for s in labeled_corpus[n]]:
             for s in range(1, space.full + 1):
                 members = list(_points(s))
-                sub, trace = solve_game(subspace(space, s)), StrategyTable(space, s)
+                sub = solve_game(subspace(space, s))
+                trace = StrategyTable(space, s, trace_replies(space, s))
                 assert trace.gd == sub.gd
                 for c in sub.value:
                     trace(sum(1 << members[i] for i in _points(c)))
@@ -404,7 +397,8 @@ class TestTrace:
         assert len(five) == 992
         for space in five:
             for s in range(1, space.full + 1):
-                assert StrategyTable(space, s).gd == solved_gd(subspace(space, s)), (space, s)
+                trace = StrategyTable(space, s, trace_replies(space, s))
+                assert trace.gd == solved_gd(subspace(space, s)), (space, s)
 
     def test_the_cap_counts_the_trace_states(self, monkeypatch):
         import openpoint.game as game
@@ -412,18 +406,30 @@ class TestTrace:
         # D3 x D7: a trace on 20 of the 21 points solves one line of 21 states
         space = product([make_discrete(3), make_discrete(7)]).space
         for x in range(space.n):
-            trace = StrategyTable(space, space.full & ~(1 << x))
+            within = space.full & ~(1 << x)
+            trace = StrategyTable(space, within, trace_replies(space, within))
             assert trace.gd == 20 and len(trace.value) == 21
+        last = space.full - 1
         monkeypatch.setattr(game, "STATES_CAP", 21)
-        assert StrategyTable(space, space.full - 1).gd == 20
+        assert StrategyTable(space, last, trace_replies(space, last)).gd == 20
         monkeypatch.setattr(game, "STATES_CAP", 20)
         with pytest.raises(TooLarge, match="cap of 20 states"):
-            StrategyTable(space, space.full - 1).gd
+            StrategyTable(space, last, trace_replies(space, last)).gd
 
     @pytest.mark.parametrize("within, error", [(0, EmptySubspace), (-1, TopologyError), (0b100, TopologyError)])
     def test_within_must_be_a_set_of_points(self, sierpinski, within, error):
         with pytest.raises(error):
+            StrategyTable(sierpinski, within, [(0b10, 0b11)])
+
+    @pytest.mark.parametrize("within", [0b01, 0b11])
+    def test_within_needs_its_reply_list(self, sierpinski, within):
+        # the whole space's replies are no subspace's: none is guessed
+        with pytest.raises(ValueError, match="needs that subset's reply list"):
             StrategyTable(sierpinski, within)
+
+    def test_the_whole_space_list_is_its_trace_list(self, labeled_corpus):
+        for space in [s for n in range(1, 5) for s in labeled_corpus[n]]:
+            assert _reply_closures(space) == trace_replies(space, space.full), space.name
 
 
 class TestReplyList:

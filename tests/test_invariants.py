@@ -1,5 +1,6 @@
 from functools import reduce
 from operator import or_
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +25,14 @@ from openpoint.invariants import (
 from openpoint.space import FiniteSpace, closures, subspace, validate_topology
 
 from .conftest import make_chain, make_discrete, make_indiscrete, make_two_sierpinski
-from .invariant_oracle import delta_by_subspaces, least_family, pi_weight_scan, weight_scan
-from .util import spaces
+from .invariant_oracle import (
+    delta_by_subspaces,
+    least_family,
+    pi_weight_scan,
+    tightness_scan,
+    weight_scan,
+)
+from .util import closure_tables, spaces
 
 
 class TestDensity:
@@ -170,6 +177,25 @@ class TestTightness:
     @settings(max_examples=30)
     def test_always_one_on_finite_spaces(self, space):
         assert tightness(space) == 1
+
+    def test_the_sweep_matches_the_scan(self, oracle_corpus):
+        assert len(oracle_corpus) == 1 + 4 + 29 + 355 + 992
+        for space in oracle_corpus:
+            assert tightness(space) == tightness_scan(closures(space)) == 1, space.name
+
+    @given(closure_tables())
+    @settings(max_examples=200)
+    def test_the_sweep_assumes_no_additivity(self, cls):
+        # on tables that are not closures of a space, t can pass 1
+        space = make_discrete((len(cls) - 1).bit_length())
+        with mock.patch.object(invariants, "closures", lambda space: cls):
+            assert tightness(space) == tightness_scan(cls)
+
+    def test_a_table_with_tightness_two(self):
+        # the point 2 is reached by {0, 1} but by neither of 0 and 1
+        cls = (0, 0b001, 0b010, 0b111, 0b100, 0b101, 0b110, 0b111)
+        with mock.patch.object(invariants, "closures", lambda space: cls):
+            assert tightness(make_discrete(3)) == tightness_scan(cls) == 2
 
 
 class TestReport:
