@@ -9,6 +9,8 @@ is the whole point.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cache
 from heapq import merge
 from itertools import permutations
@@ -56,7 +58,7 @@ from .strategies import aggregate_worst, dense_point_picker, pi_base_chooser, pr
 
 FAMILY_METHOD_CAP = 4
 PREORDER_METHOD_CAP = 5
-CANONICAL_FORM_CAP = 6  # the relabel tables hold n! * 2^n entries
+CANONICAL_FORM_CAP = 6  # the key table packs n! fields of max(8, 2^n) bits per entry
 PAIR_CAP = 3  # pair checks use factors of at most this many points
 
 
@@ -144,27 +146,70 @@ def enumerate_labeled(n: int, method: str = "preorder"):
 
 
 @cache
-def _relabelings(n: int) -> tuple[tuple[int, ...], ...]:
-    """One table per permutation of n points: entry m is the image of mask m.
+def _key_table(n: int) -> tuple[str, int, tuple[tuple[int, ...], ...]]:
+    """(typecode, byte count, rows): the keys of every relabeling, packed side by side.
 
-    These are constants of n, n! * 2^n entries in all.
+    The key of a set of masks sets bit 2^n - 1 - x for each mask x in it;
+    a larger key is an earlier sorted tuple (see ``canonical_form``).
+    Each relabeling owns one field of max(8, 2^n) bits: an ``array`` of
+    ``typecode``, whose items are that wide, reads the n! fields' ``byte
+    count`` bytes, the i-th permutation of ``itertools.permutations`` as
+    item i.  The fields travel as one int, converted both ways in
+    ``sys.byteorder``, so OR acts on every field at once.  Row c is
+    indexed by a 4-bit value v: its entry holds, in every field, the key
+    of the images of the masks 4c + j with bit j set in v.  So the keys of
+    an open set under all n! relabelings are the OR of one entry per row,
+    picked by the open set's bitmap.  These are constants of n: at n = 5,
+    8 rows of 16 entries of up to 480 bytes (about 64 KB as ints); at
+    n = 6, 16 rows of entries of up to 5,760 bytes (about 1.5 MB).
     """
-    tables = []
+    size, width = 1 << n, max(8, 1 << n) // 8
+    code = next((c for c in "BHILQ" if array(c).itemsize == width), None)
+    assert code is not None, f"no array typecode is {width} bytes wide"
+    images = []
     for perm in permutations(range(n)):
-        img = [0] * (1 << n)
-        for m in range(1, 1 << n):
+        img = [0] * size
+        for m in range(1, size):
             low = m & -m
             img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
-        tables.append(tuple(img))
-    return tuple(tables)
+        images.append(img)
+    # column x: the key bit of mask x's image in every field; zero columns
+    # fill the last row at n = 1, with 2 masks
+    cols = [int.from_bytes(array(code, [1 << size - 1 - img[x] for img in images]).tobytes(),
+                           sys.byteorder) for x in range(size)] + [0] * (-size % 4)
+    rows = []
+    for start in range(0, size, 4):
+        row = [0] * 16
+        for v in range(1, 16):
+            low = v & -v
+            row[v] = row[v ^ low] | cols[start + low.bit_length() - 1]
+        rows.append(tuple(row))
+    return code, len(images) * width, tuple(rows)
 
 
 def canonical_form(space: FiniteSpace) -> tuple[int, ...]:
-    """Lexicographically least sorted-opens tuple over all relabelings."""
+    """Lexicographically least sorted-opens tuple over all relabelings.
+
+    No image is sorted.  For sets A and B of masks of equal size, the
+    sorted A comes before the sorted B exactly when the least mask of
+    A ^ B (symmetric difference) lies in A: the tuples agree up to it.
+    That mask sets the highest bit of key(A) ^ key(B), so the least sorted
+    image is the one whose key (``_key_table``) is largest.  The n! keys
+    are packed in one int, read as an array of fields, and the largest
+    one is decoded: bit 2^n - 1 - x set means mask x is open.
+    """
     if space.n > CANONICAL_FORM_CAP:
         raise TooLarge(f"canonical forms are capped at n = {CANONICAL_FORM_CAP}")
-    opens = space.opens
-    return min(tuple(sorted(map(t.__getitem__, opens))) for t in _relabelings(space.n))
+    code, nbytes, rows = _key_table(space.n)
+    bitmap = keys = 0
+    for u in space.opens:
+        bitmap |= 1 << u
+    for row in rows:
+        keys |= row[bitmap & 15]
+        bitmap >>= 4
+    best = max(array(code, keys.to_bytes(nbytes, sys.byteorder)))
+    # character x of the 2^n-digit binary string is bit 2^n - 1 - x
+    return tuple(x for x, digit in enumerate(format(best, f"0{1 << space.n}b")) if digit == "1")
 
 
 def enumerate_unlabeled(n: int, method: str = "preorder"):

@@ -1,7 +1,10 @@
 import gc
 import weakref
+from array import array
 from dataclasses import replace
+from functools import cache
 from itertools import permutations
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +29,7 @@ from openpoint.enumeration import (
     verify_suite,
 )
 from openpoint.game import GameVariant
-from openpoint.products import FanStatus
+from openpoint.products import FanStatus, product
 from openpoint.space import FiniteSpace, TooLarge, bits, closures, is_dense, space_from_masks
 from openpoint.strategies import dense_point_picker
 
@@ -60,6 +63,34 @@ def brute_canonical_form(space):
         tuple(sorted(_permute_mask(u, perm) for u in space.opens))
         for perm in permutations(range(space.n))
     )
+
+
+@cache
+def _relabelings(n):
+    """One table per permutation of n points: entry m is the image of mask m."""
+    tables = []
+    for perm in permutations(range(n)):
+        img = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(tuple(img))
+    return tuple(tables)
+
+
+def sorted_image_form(space):
+    """Least sorted-opens tuple, one sort per relabeling table: the form before packed keys."""
+    opens = space.opens
+    return min(tuple(sorted(map(t.__getitem__, opens))) for t in _relabelings(space.n))
+
+
+@st.composite
+def equal_size_mask_sets(draw):
+    """(n, A, B): two sets of masks of n points, of one size."""
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(1, min(12, 1 << n)))
+    masks = st.sets(st.integers(0, (1 << n) - 1), min_size=size, max_size=size)
+    return n, draw(masks), draw(masks)
 
 
 # One broken route per check: (check, the name it reads on ``enumeration``,
@@ -183,11 +214,45 @@ class TestCanonicalForm:
             for space in spaces:
                 assert canonical_form(space) == brute_canonical_form(space), space.name
 
+    @pytest.mark.slow
+    def test_matches_the_sorted_images_at_five_points(self):
+        for space in enumerate_labeled(5):
+            assert canonical_form(space) == sorted_image_form(space), space.name
+
+    def test_matches_the_sorted_images_on_six_point_products(self):
+        pairs = [(x, y) for x in enumerate_labeled(2) for y in enumerate_labeled(3)]
+        products = [product(list(f)).space for x, y in pairs for f in ((x, y), (y, x))]
+        assert len(products) == 232 and {p.n for p in products} == {6}
+        for space in products:
+            assert canonical_form(space) == sorted_image_form(space), space.name
+
+    @given(equal_size_mask_sets())
+    @settings(max_examples=300)
+    def test_least_differing_mask_orders_sorted_tuples(self, sets):
+        """Sorted A < sorted B iff min(A ^ B) is in A, iff A's key is the larger."""
+        n, a, b = sets
+        top = (1 << n) - 1
+
+        def key(masks):
+            return sum(1 << top - x for x in masks)
+
+        before = tuple(sorted(a)) < tuple(sorted(b))
+        assert before == (a != b and min(a ^ b) in a) == (key(a) > key(b))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_field_is_one_array_item(self, n):
+        code, nbytes, rows = enumeration._key_table(n)
+        width = max(8, 1 << n) // 8
+        assert array(code).itemsize == width
+        assert nbytes == factorial(n) * width
+        assert len(rows) == max(1, (1 << n) // 4)
+        assert all(entry.bit_length() <= 8 * nbytes for row in rows for entry in row)
+
     def test_capped_past_six_points(self, monkeypatch):
         def boom(n):
-            raise AssertionError("no relabel table past the cap")
+            raise AssertionError("no key table past the cap")
 
-        monkeypatch.setattr(enumeration, "_relabelings", boom)
+        monkeypatch.setattr(enumeration, "_key_table", boom)
         with pytest.raises(TooLarge):
             canonical_form(make_indiscrete(7))
 

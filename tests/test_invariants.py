@@ -10,6 +10,7 @@ from openpoint.game import solved_gd
 from openpoint.invariants import (
     InvariantReport,
     _least_cover,
+    _subsets_by_size,
     delta,
     delta_oracle,
     dense_densities,
@@ -49,6 +50,15 @@ class TestDensity:
     @given(spaces(max_points=6))
     def test_formula_matches_brute_force(self, space):
         assert density(space) == density_brute(space)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_subsets_come_in_size_order(self, n):
+        # the brute routes rest on this order, not on the inclusion-minimality
+        # that would make value order give the same answers
+        order = _subsets_by_size(n)
+        assert sorted(order) == list(range(1 << n))
+        sizes = [m.bit_count() for m in order]
+        assert sizes == sorted(sizes)
 
 
 class TestPiWeight:
@@ -224,8 +234,11 @@ class TestReport:
             raise AssertionError("the report must not solve a game or scan subsets")
 
         monkeypatch.setattr(game.StrategyTable, "__call__", boom)
-        for name in ("tightness", "closure", "closures"):
+        for name in ("tightness", "closures"):
             monkeypatch.setattr(invariants, name, boom)
+        import openpoint.space as space_module
+
+        monkeypatch.setattr(space_module, "closure", boom)
         rep = invariant_report(make_two_sierpinski())
         assert rep == InvariantReport(d=2, delta=2, gd=2, pi=2, w=4, t=1)
 
