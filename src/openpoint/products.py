@@ -198,13 +198,17 @@ def _slice_closures(space: FiniteSpace, keys, v: int) -> tuple[int, ...]:
 
 
 def _irredundant(keys: list[int]) -> bool:
-    """Whether every key covers a bit that no other key in the list covers."""
-    for i, key in enumerate(keys):
-        rest = 0
-        for j, other in enumerate(keys):
-            if j != i:
-                rest |= other
-        if key & ~rest == 0:
+    """Whether every key covers a bit that no other key in the list covers.
+
+    One pass collects the bits covered at least twice; a key covers a bit
+    of its own exactly when it has a bit outside them.
+    """
+    once = twice = 0
+    for key in keys:
+        twice |= once & key
+        once |= key
+    for key in keys:
+        if key & ~twice == 0:
             return False
     return True
 
@@ -252,6 +256,13 @@ def _fan_cells(sub: ProductSpace, kappa: int, candidate_policy: str) -> tuple:
     (``_fibre_sets``), built only once the subproduct passes the
     ``SUBSET_LOOP_CAP`` test, so it has at most 2^12 entries.  Each
     family's closed sets are kept complemented, so U minus D is one ``&``.
+
+    In the ``boxes`` pool the closed sets come from the slice lemma: every
+    point x of a minimal open box V has N(x) = V, so all points of V share
+    one key and cl{x} = cl(V), and ``_slice_closures`` would return just
+    ``(cl(V),)``.  A family F then has one closed set, D_F, the union of
+    its members' closures, and no slice is searched.  The ``all`` pool
+    searches the minimal slices of each member.
     """
     opens_nonempty = [u for u in sub.space.opens if u]
     if (1 << sub.space.n) > SUBSET_LOOP_CAP:
@@ -262,18 +273,23 @@ def _fan_cells(sub: ProductSpace, kappa: int, candidate_policy: str) -> tuple:
         pool = opens_nonempty
     fam_size = min(kappa, len(pool))
     families = list(islice(combinations(pool, fam_size), FAMILY_TRY_CAP))
-    keys = _point_keys(sub)
-    member_closures = {
-        v: _slice_closures(sub.space, keys, v) for fam in families for v in fam
-    }
     full = sub.space.full
-    complements = [
-        [full ^ d for d in inclusion_minimal(
-            reduce(or_, combo, 0)
-            for combo in iter_product(*(member_closures[v] for v in fam))
-        )]
-        for fam in families
-    ]
+    if candidate_policy == "boxes":
+        # slice lemma: one closed set per family, D_F = cl(V1) | ... = cl(V1 | ...)
+        closure_of = sub.space.closure_of
+        complements = [[full ^ closure_of(reduce(or_, fam))] for fam in families]
+    else:
+        keys = _point_keys(sub)
+        member_closures = {
+            v: _slice_closures(sub.space, keys, v) for fam in families for v in fam
+        }
+        complements = [
+            [full ^ d for d in inclusion_minimal(
+                reduce(or_, combo, 0)
+                for combo in iter_product(*(member_closures[v] for v in fam))
+            )]
+            for fam in families
+        ]
     met = _fibre_sets(sub.sizes)
     cells = []
     for u in opens_nonempty:
@@ -308,9 +324,13 @@ def fan_tightness_check(factors, kappa: int,
     closures of the minimal qualifying pick-sets decide a cell, and each is
     a union of minimal qualifying slices, one per member; closure is
     additive, so D runs over the unions of one minimal slice closure per
-    member.  A projection of U minus D shrinks exactly when U minus D
-    meets fewer fibres than U (a fibre is the set of points with one
-    coordinate on one axis).  Both fibre sets are read off one table per
+    member.  In the default ``boxes`` pool each member V is a minimal open
+    of the subproduct, so every point x of V has N(x) = V and cl{x} =
+    cl(V) (the slice lemma): every non-empty slice qualifies, each minimal
+    slice closes to cl(V), and a family has the one closed set
+    D = cl(V1) | cl(V2) | ....  A projection of U minus D shrinks exactly
+    when U minus D meets fewer fibres than U (a fibre is the set of points
+    with one coordinate on one axis).  Both fibre sets are read off one table per
     subproduct shape, built only for subproducts within
     ``SUBSET_LOOP_CAP``, so it has at most 2^12 entries.  Each
     subproduct's cells are searched once per kappa and pool and kept in its

@@ -393,12 +393,17 @@ def minimal_opens(space: FiniteSpace) -> tuple[int, ...]:
 
 
 def inclusion_minimal(rows) -> tuple[int, ...]:
-    """The inclusion-minimal masks among ``rows``, in increasing bitmask order."""
+    """The inclusion-minimal masks among ``rows``, in increasing bitmask order.
+
+    A proper subset of a mask is a smaller integer, so in value order every
+    mask comes after its subsets: a mask that holds no mask kept so far is
+    minimal, and the kept masks come out increasing.
+    """
     out: list[int] = []
-    for cand in sorted(set(rows), key=lambda m: (popcount(m), m)):
+    for cand in sorted(set(rows)):
         if not any(kept & cand == kept for kept in out):
             out.append(cand)
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def _compress(mask: int, members: list[int]) -> int:

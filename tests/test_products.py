@@ -1,5 +1,7 @@
 import itertools
 import math
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,10 @@ from openpoint.products import (
     _box,
     _fan_cells,
     _fibre_sets,
+    _irredundant,
     _point_keys,
     _product_succ,
+    _slice_closures,
     fan_tightness_check,
     minimal_open_boxes,
     minimal_opens_via_preorder,
@@ -397,13 +401,13 @@ class TestFanTightness:
         import openpoint.products as products
 
         searched = []
-        point_keys = products._point_keys
+        fan_cells = products._fan_cells
 
-        def counted(sub):
+        def counted(sub, kappa, candidate_policy):
             searched.append(sub.space.name)
-            return point_keys(sub)
+            return fan_cells(sub, kappa, candidate_policy)
 
-        monkeypatch.setattr(products, "_point_keys", counted)
+        monkeypatch.setattr(products, "_fan_cells", counted)
         x, y = make_sierpinski(), make_discrete(2)
         first = fan_tightness_check([x, y], 2, "boxes")
         assert sorted(searched) == ["discrete2", "sierpinski", "sierpinskixdiscrete2"]
@@ -476,3 +480,48 @@ class TestFanCells:
             assert sub.space.n == 12
             for kappa in (1, 2, 3):
                 assert _fan_cells(sub, kappa, "boxes") == reference_fan_cells(sub, kappa, "boxes")
+
+
+def irredundant_by_rest(keys):
+    """Each key against the union of all the other keys, rebuilt per key."""
+    return all(key & ~reduce(or_, keys[:i] + keys[i + 1:], 0) for i, key in enumerate(keys))
+
+
+class TestSliceSearch:
+    @given(st.lists(st.integers(min_value=0, max_value=255), max_size=6))
+    def test_irredundant_matches_the_union_of_the_rest(self, keys):
+        assert _irredundant(keys) == irredundant_by_rest(keys)
+
+    def test_irredundant_examples(self):
+        assert _irredundant([])
+        assert _irredundant([0b01, 0b10])
+        assert not _irredundant([0b01, 0b01])
+        assert not _irredundant([0b011, 0b110, 0b010])
+        assert not _irredundant([0b1, 0])
+
+
+def assert_slice_lemma(sub):
+    """Each point of a minimal open box V has one key, and V's only slice closure is cl(V)."""
+    keys = _point_keys(sub)
+    boxes = minimal_open_boxes(sub)
+    for v in boxes:
+        assert len({keys[p] for p in bits(v)}) == 1
+        assert _slice_closures(sub.space, keys, v) == (sub.space.closure_of(v),)
+    return len(boxes)
+
+
+class TestSliceLemma:
+    """The oracle for the ``boxes`` path of ``_fan_cells``, which reads cl(V) per member."""
+
+    def test_every_subproduct_of_the_pair_corpus(self, labeled_corpus):
+        factors = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
+        subs = [[x] for x in factors] + [[x, y] for x, y in itertools.product(factors, repeat=2)]
+        assert len(subs) == 1190
+        assert sum(assert_slice_lemma(product(sub)) for sub in subs) == 2450
+
+    def test_three_factor_products(self, unlabeled_corpus):
+        twos, threes = unlabeled_corpus[2], unlabeled_corpus[3]
+        for triple in itertools.product(twos, twos, threes):
+            sub = product(list(triple))
+            assert sub.space.n == 12
+            assert_slice_lemma(sub)

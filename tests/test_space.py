@@ -25,6 +25,7 @@ from openpoint.space import (
     closures,
     enumerate_upsets,
     from_preorder,
+    inclusion_minimal,
     interior,
     is_dense,
     load_space,
@@ -391,6 +392,41 @@ class TestMinimalOpens:
     def test_each_minimal_open_is_indiscrete(self, space):
         for m in minimal_opens(space):
             assert subspace(space, m).opens == (0, subspace(space, m).full)
+
+
+def minimal_by_scan(rows):
+    """Every distinct mask of ``rows`` that holds no other one, in increasing order."""
+    distinct = set(rows)
+    return sorted(m for m in distinct if not any(o != m and o & m == o for o in distinct))
+
+
+@st.composite
+def mask_rows(draw):
+    """Masks on up to 6 points, each repeated or joined by a superset or a subset of it."""
+    masks = st.integers(min_value=0, max_value=63)
+    rows = draw(st.lists(masks, max_size=6))
+    for m in list(rows):
+        other = draw(masks)
+        rows.append(draw(st.sampled_from([m, m | other, m & other])))
+    return draw(st.permutations(rows))
+
+
+class TestInclusionMinimal:
+    @given(mask_rows())
+    def test_matches_the_scan(self, rows):
+        assert inclusion_minimal(rows) == tuple(minimal_by_scan(rows))
+
+    @pytest.mark.parametrize("rows, want", [
+        ([], ()),
+        ([0b11, 0, 0b1, 0], (0,)),
+        ([0b110, 0b011, 0b110, 0b010, 0b101], (0b010, 0b101)),
+        ([0b100001, 0b1], (0b1,)),  # the subset drawn last, in one hash slot
+        ([0b1000, 0b0111], (0b0111, 0b1000)),  # increasing, not by size
+        ([0b011, 0b101, 0b110], (0b011, 0b101, 0b110)),  # overlapping, none nested
+    ])
+    def test_examples(self, rows, want):
+        assert inclusion_minimal(rows) == want
+        assert inclusion_minimal(iter(rows)) == want
 
 
 class TestDensity:
