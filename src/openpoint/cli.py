@@ -210,8 +210,8 @@ def _build_chooser(args, spaces_list, prod, table):
     if name == "product":
         if len(spaces_list) != 2:
             raise UsageError("--pI product wants exactly two space files")
-        return strategies.product_chooser(spaces_list[0], spaces_list[1], prod=prod), None
-    agg = strategies.aggregate_chooser(spaces_list, prod=prod)
+        return strategies.product_chooser(spaces_list[0], spaces_list[1]), None
+    agg = strategies.aggregate_chooser(spaces_list)
     return agg, agg
 
 

@@ -351,11 +351,12 @@ def _check_subspace_monotone(space):
     So a failed identity points at a wrong closure table.  The whole space
     is no subject: gd <= gd cannot fail, and its identity is cl(X) = X,
     which ``kuratowski`` checks.  Each subspace's gd comes from the solver
-    on a table ``within`` S, so no subspace is built, with replies cut from
-    the space's minimal opens m: an open U keeps the m inside it, closing
-    cl(m) & U, and a dense D, which meets every m, the m & D, closing
-    cl(m) & D, sorted (on ``T3.17`` with D = {0, 1} they swap).  That gd
-    must not pass gd(X) and must equal the structural gd, the reply count.
+    on S's reply list, whose closures join to S, so no subspace is built,
+    with replies cut from the space's minimal opens m: an open U keeps the
+    m inside it, closing cl(m) & U, and a dense D, which meets every m, the
+    m & D, closing cl(m) & D, sorted (on ``T3.17`` with D = {0, 1} they
+    swap).  That gd must not pass gd(X) and must equal the structural gd,
+    the reply count.
     """
     gd, full = solved_gd(space), space.full
     cls, replies = closures(space), _reply_closures(space)
@@ -365,7 +366,7 @@ def _check_subspace_monotone(space):
         cl_s = cls[s]
         if cls[interior(space, cl_s)] != cl_s:
             return {"subset": s, "reason": "regularity identity failed"}
-        sub_gd = StrategyTable(space, s, sub_replies).gd
+        sub_gd = StrategyTable(space, sub_replies).gd
         if sub_gd > gd:
             return {"subset": s, "sub_gd": sub_gd, "gd": gd}
         if sub_gd != len(sub_replies):
@@ -456,7 +457,7 @@ def _check_pair_strategies(x, y):
     prod = product([x, y])
     gd_prod = solved_gd(prod.space)
     gd_bound = solved_gd(x) * solved_gd(y)
-    worst = evaluate_chooser(prod.space, product_chooser(x, y, prod=prod))
+    worst = evaluate_chooser(prod.space, product_chooser(x, y))
     if not gd_prod <= worst <= pi_weight(x) * solved_gd(y):
         return {"product_worst": worst}
     agg_worst = aggregate_worst(prod)

@@ -15,14 +15,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .space import (
-    FiniteSpace,
-    TooLarge,
-    bits,
-    minimal_opens,
-    popcount,
-    subset_points,
-)
+from .space import FiniteSpace, TooLarge, bits, minimal_opens
 
 INFINITE = math.inf
 
@@ -43,8 +36,8 @@ class IllegalMove(Exception):
         self.offender = offender
         self.closed = closed
         self.move = move
-        played = (space.labels_of(move) if 0 <= move <= space.full
-                  else f"mask {move}, not a set of the {space.n} points,")
+        played = (space.labels_of(move) if isinstance(move, int) and 0 <= move <= space.full
+                  else f"mask {move!r}, not a set of the {space.n} points,")
         super().__init__(
             f"{offender} played {played} at closed state "
             f"{space.labels_of(closed)}: {why}"
@@ -92,7 +85,7 @@ class StrategyTable:
 
     The pass stops at the first reply that meets the state's floor.  Every
     stage adds some ``cl(m)``, so it closes at most ``a = max |cl(m)|`` new
-    points, and ``value(closed) >= ceil(popcount(full & ~closed) / a)``.
+    points, and ``value(closed) >= ceil(|full & ~closed| / a)``.
     Replies are scanned in order and every earlier one scored above the
     floor, so the first reply that meets it is also the first minimum: each
     stored value is exact, and each best move is the one a complete scan
@@ -107,29 +100,29 @@ class StrategyTable:
     TooLarge, naming the cap.  It counts the states solved, not a bound on
     them, so a table is refused only once it has done that much work.
 
-    Given ``within`` = S and its ``replies``, the table solves the game on
-    the subspace S in the space's own coordinates, and builds no subspace.
+    Given the ``replies`` of a subset S, the table solves the game on the
+    subspace S in the space's own coordinates, and builds no subspace.
     There N(x) & S is the smallest open around x and cl{x} & S its closure,
     so the replies are the inclusion-minimal traces m in increasing order,
-    each with ``cl(m) & S``; the terminal state is S, and the floor counts
-    |S| points.  A ``within`` without ``replies`` is refused.  ``subspace``
-    relabels S by an increasing map, which keeps the numeric order of
-    masks: every value and best move are the relabeled subspace table's.
+    each with ``cl(m) & S``.  The terminal state S is the union of the
+    closures: for x in S, N(x) & S holds a minimal trace m, and x is in
+    cl{y} & S = cl(m) & S for each y in m.  The floor counts |S| points.
+    ``subspace`` relabels S by an increasing map, which keeps the numeric
+    order of masks: every value and best move are the relabeled subspace
+    table's.
     """
 
-    def __init__(self, space: FiniteSpace, within: int | None = None, replies: list | None = None):
-        if within is None:
-            within, replies = space.full, _reply_closures(space)
-        elif replies is None:
-            raise ValueError("a table within a subset needs that subset's reply list")
-        elif not 0 < within <= space.full:
-            subset_points(space, within)  # raises the refusal that names the mask
+    def __init__(self, space: FiniteSpace, replies: list | None = None):
         self.space = space
-        self.value: dict[int, float] = {within: 0}
+        self._replies = _reply_closures(space) if replies is None else replies
+        terminal, widest = 0, 1
+        for _, add in self._replies:
+            terminal |= add
+            widest = max(widest, add.bit_count())
+        self.value: dict[int, float] = {terminal: 0}
         self.best_move: dict[int, int] = {}
-        self._replies = replies
-        self._widest = max((add.bit_count() for _, add in self._replies), default=1)
-        self._last = within.bit_count() - 1
+        self._widest = widest
+        self._last = terminal.bit_count() - 1
         self._cut = True
 
     @property
@@ -278,6 +271,8 @@ def as_chooser(policy):
 
 
 def _check_offer(space: FiniteSpace, closed: int, move: int, variant: GameVariant) -> None:
+    if not isinstance(move, int):
+        raise IllegalMove("chooser", space, closed, move, "an offer is an int mask")
     if not move or not space.is_open(move):
         raise IllegalMove("chooser", space, closed, move, "offer is empty or not open")
     if variant is GameVariant.RESTRICTED and move & closed:
@@ -285,9 +280,11 @@ def _check_offer(space: FiniteSpace, closed: int, move: int, variant: GameVarian
 
 
 def _check_pick(space: FiniteSpace, closed: int, offered: int, picks: int, variant: GameVariant) -> None:
+    if not isinstance(picks, int):
+        raise IllegalMove("picker", space, closed, picks, "a pick is an int mask")
     if not picks or picks & ~offered:
         raise IllegalMove("picker", space, closed, picks, "pick outside the offered open")
-    if variant is not GameVariant.MULTI_POINT and popcount(picks) != 1:
+    if variant is not GameVariant.MULTI_POINT and picks.bit_count() != 1:
         raise IllegalMove("picker", space, closed, picks, "exactly one point per stage")
 
 
@@ -296,7 +293,8 @@ def evaluate_chooser(space: FiniteSpace, policy, variant: GameVariant = GameVari
 
     Full traversal of picker replies with memoization on (closed state,
     policy state).  Returns ``math.inf`` when some line never terminates,
-    which only happens for policies that allow the picker to stall.
+    which only happens for policies that allow the picker to stall.  A
+    line descends only while the closed set grows, so it meets no state twice.
     """
     chooser = as_chooser(policy)
     full = space.full
@@ -309,7 +307,6 @@ def evaluate_chooser(space: FiniteSpace, policy, variant: GameVariant = GameVari
         got = memo.get(key)
         if got is not None:
             return got
-        memo[key] = INFINITE  # cycle guard while this node is open
         move = chooser.choose(closed, state)
         _check_offer(space, closed, move, variant)
         if variant is GameVariant.MULTI_POINT:
@@ -410,7 +407,7 @@ def stalling_picker(space: FiniteSpace):
     clpt = space.point_closures()
 
     def pick(closed, offered, stage, rng=None):
-        options = sorted(bits(offered), key=lambda x: (popcount(closed | clpt[x]), x))
+        options = sorted(bits(offered), key=lambda x: ((closed | clpt[x]).bit_count(), x))
         return 1 << options[0]
 
     return pick

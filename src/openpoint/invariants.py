@@ -15,18 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .space import (
-    FiniteSpace,
-    bits,
-    closures,
-    minimal_opens,
-    popcount,
-)
+from .space import FiniteSpace, bits, closures, minimal_opens
 
 
 @cache
 def _subsets_by_size(n: int) -> tuple[int, ...]:
-    return tuple(sorted(range(1 << n), key=popcount))
+    return tuple(sorted(range(1 << n), key=int.bit_count))
 
 
 def density(space: FiniteSpace) -> int:
@@ -43,7 +37,7 @@ def density_brute(space: FiniteSpace) -> int:
     cls = closures(space)
     for mask in _subsets_by_size(space.n):
         if cls[mask] == space.full:
-            return popcount(mask)
+            return mask.bit_count()
     raise AssertionError("the full set is always dense")
 
 
@@ -136,7 +130,7 @@ def dense_densities(space: FiniteSpace):
     by_size = _subsets_by_size(space.n)
     for a in range(1, space.full + 1):
         if cls[a] == space.full:
-            yield a, next(popcount(z) for z in by_size if z & a == z and cls[z] & a == a)
+            yield a, next(z.bit_count() for z in by_size if z & a == z and cls[z] & a == a)
 
 
 def delta_oracle(space: FiniteSpace) -> int:
@@ -159,7 +153,7 @@ def tightness(space: FiniteSpace) -> int:
             if z & y_set == z and left & cls[z]:
                 left &= ~cls[z]
                 if not left:
-                    worst = max(worst, popcount(z))
+                    worst = max(worst, z.bit_count())
                     break
     return worst
 

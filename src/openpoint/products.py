@@ -335,7 +335,8 @@ def fan_tightness_check(factors, kappa: int,
     ``SUBSET_LOOP_CAP``, so it has at most 2^12 entries.  Each
     subproduct's cells are searched once per kappa and pool and kept in its
     space's memo.  More than 12 factors are refused before any product is
-    built: with at least two points each they exceed ``POINTS_CAP``.
+    built: they would give 2^k - 1 >= 8,191 index sets, one subproduct
+    each, however few points the factors have.
     """
     factors = tuple(factors)
     if kappa < 1:

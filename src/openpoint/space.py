@@ -85,10 +85,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
     """A checked finite topology.
@@ -257,7 +253,7 @@ def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int
 
     Spaces given by their opens come through here: JSON files, enumerated
     families and metric topologies.  Let row(x) be the first member of the
-    family F that holds x, in (popcount, mask) order.  F, holding the empty
+    family F that holds x, in (size, mask) order.  F, holding the empty
     and the full set, is a topology exactly when the rows are transitive
     (y in row(x) gives row(y) <= row(x)) and the union-closure of the rows
     is F.  If so, the unions of transitive rows are the up-sets of a
@@ -437,7 +433,7 @@ def subspace(space: FiniteSpace, subset: int) -> FiniteSpace:
     if something reads it.  ``subset`` is checked by ``subset_points``.
 
     No route of the package calls it: the game on a subspace is solved in
-    the space's own coordinates (``game.StrategyTable`` with ``within``),
+    the space's own coordinates (``game.StrategyTable`` on its reply list),
     and each dense set's density is read off ``closures``.  It stays public,
     the reference that those routes are tested against, and
     ``perfbench/tracing.py`` counts its calls.

@@ -13,6 +13,8 @@ space's list to its open and dense subjects instead.
 """
 
 import math
+from functools import reduce
+from operator import or_
 
 from openpoint.game import GameVariant
 from openpoint.space import inclusion_minimal, subset_points
@@ -22,12 +24,17 @@ def trace_replies(space, within):
     """``(m, cl(m) & within)`` per inclusion-minimal trace m = N(x) & within, in increasing order.
 
     These are the minimal opens of the subspace ``within``, each with its
-    closure there, read off its lowest point: what ``StrategyTable`` takes
-    as ``replies`` for that ``within``.
+    closure there, read off its lowest point: the ``replies`` on which
+    ``StrategyTable`` solves the game on ``within``.
     """
     rows, clpt = space.nbhds, space.point_closures()
     mins = inclusion_minimal([rows[x] & within for x in subset_points(space, within)])
     return [(m, clpt[(m & -m).bit_length() - 1] & within) for m in mins]
+
+
+def joined_closures(replies):
+    """The union of the closures in a reply list ``(m, cl(m))``: the subset it is the list of."""
+    return reduce(or_, (add for _, add in replies), 0)
 
 
 def _points(mask):

@@ -174,11 +174,11 @@ def test_criterion_7_product_theorems(corpus3):
         assert mins == minimal_open_boxes(prod), f"{prod.space.name}: minimal opens"
         assert len(mins) == pi_x * pi_y, f"{prod.space.name}: pi multiplicativity"
 
-        worst = evaluate_chooser(prod.space, product_chooser(x, y, prod=prod))
+        worst = evaluate_chooser(prod.space, product_chooser(x, y))
         assert gd_prod <= worst <= pi_x * gd_y, \
             f"{prod.space.name}: product strategy worst {worst}"
 
-        agg = aggregate_chooser([x, y], prod=prod)
+        agg = aggregate_chooser([x, y])
         agg_worst = evaluate_chooser(prod.space, agg)
         assert agg_worst <= gd_x * gd_y, \
             f"{prod.space.name}: aggregate worst {agg_worst} > {gd_x * gd_y}"

@@ -34,7 +34,7 @@ from openpoint.space import FiniteSpace, TooLarge, bits, closures, is_dense, spa
 from openpoint.strategies import dense_point_picker
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski, make_two_sierpinski
-from .game_oracle import chooser_line_lengths, trace_replies
+from .game_oracle import chooser_line_lengths, joined_closures, trace_replies
 from .util import closure_tables, spaces
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -121,7 +121,7 @@ BROKEN_ROUTES = [
      lambda real: lambda space: SimpleNamespace(value={**real(space).value, 0: 0}),
      {"larger": 0b0011, "smaller": 0}),
     ("subspace-monotone", "StrategyTable",  # a subspace with more minimal opens
-     lambda real: lambda space, within, replies: real(make_discrete(space.n + 1)),
+     lambda real: lambda space, replies: real(make_discrete(space.n + 1)),
      {"subset": 0b0010, "sub_gd": 5, "gd": 2}),
     ("dense-lower-bound", "dense_densities",
      lambda real: lambda space: ((a, d + 1) for a, d in real(space)),
@@ -369,9 +369,9 @@ class TestSuite:
     def test_subspace_monotone_never_solves_the_whole_space(self, monkeypatch, labeled_corpus):
         real, seen = enumeration.StrategyTable, []
 
-        def spy(space, within, replies):
-            seen.append((space, within))
-            return real(space, within, replies)
+        def spy(space, replies):
+            seen.append((space, joined_closures(replies)))
+            return real(space, replies)
 
         monkeypatch.setattr(enumeration, "StrategyTable", spy)
         for spaces_n in labeled_corpus.values():
@@ -382,12 +382,15 @@ class TestSuite:
 
     @staticmethod
     def _subject_replies(monkeypatch, space):
-        """{S: the reply list ``subspace-monotone`` hands the table within S}, for a passing space."""
+        """{S: the reply list ``subspace-monotone`` hands the table on S}, for a passing space.
+
+        S is the union of the list's closures, the table's terminal state.
+        """
         real, lists = enumeration.StrategyTable, {}
 
-        def spy(space, within, replies):
-            lists[within] = replies
-            return real(space, within, replies)
+        def spy(space, replies):
+            lists[joined_closures(replies)] = replies
+            return real(space, replies)
 
         monkeypatch.setattr(enumeration, "StrategyTable", spy)
         assert _check_subspace_monotone(space) is None, space.name
@@ -424,8 +427,8 @@ class TestSuite:
         # a solver one stage short on every subspace passes gd <= gd, and
         # only gd(S) = |minimal opens of S| catches it
         real = enumeration.StrategyTable
-        monkeypatch.setattr(enumeration, "StrategyTable", lambda space, within, replies: (
-            SimpleNamespace(gd=real(space, within, replies).gd - 1)))
+        monkeypatch.setattr(enumeration, "StrategyTable", lambda space, replies: (
+            SimpleNamespace(gd=real(space, replies).gd - 1)))
         assert _check_subspace_monotone(make_two_sierpinski()) == {
             "subset": 0b0010, "sub_gd": 0, "minimal_opens": 1}
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import sys
 from types import SimpleNamespace
 
@@ -31,10 +32,8 @@ from openpoint.products import product
 from openpoint.enumeration import enumerate_labeled
 from openpoint.strategies import table_chooser
 from openpoint.space import (
-    EmptySubspace,
     FiniteSpace,
     TooLarge,
-    TopologyError,
     _compress,
     from_preorder,
     minimal_opens,
@@ -43,7 +42,7 @@ from openpoint.space import (
 )
 
 from .conftest import make_chain, make_cli_class_factors, make_discrete, make_indiscrete
-from .game_oracle import oracle_values, trace_replies
+from .game_oracle import joined_closures, oracle_values, trace_replies
 from .util import spaces
 
 ALL_VARIANTS = list(GameVariant)
@@ -303,7 +302,7 @@ class TestFloor:
         # the first reply leaves five points, which take two more stages;
         # the second leaves three, which the third closes in one
         replies = [(p[0], p[0]), (p[1], p[1] | p[2] | p[3]), (p[4], p[0] | p[4] | p[5])]
-        lazy = StrategyTable(space, (1 << 6) - 1, replies)
+        lazy = StrategyTable(space, replies)
         assert (lazy.gd, lazy.best_move[0]) == (2, p[1])
         self._assert_agrees(lazy, *_full_scan(replies, (1 << 6) - 1))
 
@@ -319,8 +318,8 @@ class TestFloor:
     @settings(max_examples=200)
     def test_any_reply_list(self, case):
         n, replies = case
-        lazy = StrategyTable(make_discrete(n), (1 << n) - 1, replies)
-        self._assert_agrees(lazy, *_full_scan(replies, (1 << n) - 1))
+        lazy = StrategyTable(make_discrete(n), replies)
+        self._assert_agrees(lazy, *_full_scan(replies, joined_closures(replies)))
 
     def test_lazy_table_keeps_the_state_cap(self, monkeypatch):
         import openpoint.game as game
@@ -365,7 +364,7 @@ class TestFloor:
 
 
 class TestTrace:
-    """The table ``within`` S against the table of ``subspace(space, S)``.
+    """The table on the reply list of S against the table of ``subspace(space, S)``.
 
     ``subspace`` re-indexes S by ``_compress``, an increasing map, so the
     trace table relabeled by it must be that subspace's table exactly.  The
@@ -385,7 +384,7 @@ class TestTrace:
             for s in range(1, space.full + 1):
                 members = list(_points(s))
                 sub = solve_game(subspace(space, s))
-                trace = StrategyTable(space, s, trace_replies(space, s))
+                trace = StrategyTable(space, trace_replies(space, s))
                 assert trace.gd == sub.gd
                 for c in sub.value:
                     trace(sum(1 << members[i] for i in _points(c)))
@@ -397,7 +396,7 @@ class TestTrace:
         assert len(five) == 992
         for space in five:
             for s in range(1, space.full + 1):
-                trace = StrategyTable(space, s, trace_replies(space, s))
+                trace = StrategyTable(space, trace_replies(space, s))
                 assert trace.gd == solved_gd(subspace(space, s)), (space, s)
 
     def test_the_cap_counts_the_trace_states(self, monkeypatch):
@@ -407,25 +406,25 @@ class TestTrace:
         space = product([make_discrete(3), make_discrete(7)]).space
         for x in range(space.n):
             within = space.full & ~(1 << x)
-            trace = StrategyTable(space, within, trace_replies(space, within))
+            trace = StrategyTable(space, trace_replies(space, within))
             assert trace.gd == 20 and len(trace.value) == 21
         last = space.full - 1
         monkeypatch.setattr(game, "STATES_CAP", 21)
-        assert StrategyTable(space, last, trace_replies(space, last)).gd == 20
+        assert StrategyTable(space, trace_replies(space, last)).gd == 20
         monkeypatch.setattr(game, "STATES_CAP", 20)
         with pytest.raises(TooLarge, match="cap of 20 states"):
-            StrategyTable(space, last, trace_replies(space, last)).gd
+            StrategyTable(space, trace_replies(space, last)).gd
 
-    @pytest.mark.parametrize("within, error", [(0, EmptySubspace), (-1, TopologyError), (0b100, TopologyError)])
-    def test_within_must_be_a_set_of_points(self, sierpinski, within, error):
-        with pytest.raises(error):
-            StrategyTable(sierpinski, within, [(0b10, 0b11)])
-
-    @pytest.mark.parametrize("within", [0b01, 0b11])
-    def test_within_needs_its_reply_list(self, sierpinski, within):
-        # the whole space's replies are no subspace's: none is guessed
-        with pytest.raises(ValueError, match="needs that subset's reply list"):
-            StrategyTable(sierpinski, within)
+    def test_union_of_reply_closures_is_the_subset(self, oracle_corpus):
+        # the table's terminal state: each x in S has a minimal trace m in
+        # N(x) & S, and x lies in the closure of every point of m
+        subsets = 0
+        for space in oracle_corpus:
+            assert joined_closures(_reply_closures(space)) == space.full, space.name
+            for s in range(1, space.full + 1):
+                assert joined_closures(trace_replies(space, s)) == s, (space.name, s)
+            subsets += space.full
+        assert (len(oracle_corpus), subsets) == (1381, 36293)
 
     def test_the_whole_space_list_is_its_trace_list(self, labeled_corpus):
         for space in [s for n in range(1, 5) for s in labeled_corpus[n]]:
@@ -577,6 +576,12 @@ class TestEvaluate:
                                                   rf"{space.n} points, at closed state \[\]: offer is"):
                 evaluate_chooser(space, lambda closed, stage: move)
 
+    @pytest.mark.parametrize("move", [None, 1.5, "x"])
+    def test_an_offer_that_is_no_int_is_illegal(self, sierpinski, move):
+        with pytest.raises(IllegalMove, match=rf"^chooser played mask {re.escape(repr(move))}, not a set of the 2 points, "
+                                              r"at closed state \[\]: an offer is an int mask$"):
+            evaluate_chooser(sierpinski, lambda closed, stage: move)
+
     def test_restricted_rejects_overlapping_offer(self, sierpinski):
         policy = lambda closed, stage: sierpinski.full
         # first offer is fine; the follow-up meets the closure
@@ -625,6 +630,13 @@ class TestPlay:
         with pytest.raises(IllegalMove) as err:
             play_transcript(sierpinski, chooser, bad_picker)
         assert err.value.offender == "picker"
+
+    @pytest.mark.parametrize("pick", [None, 1.5, "x"])
+    def test_a_pick_that_is_no_int_is_illegal(self, sierpinski, pick):
+        chooser = lambda closed, stage: 0b10
+        with pytest.raises(IllegalMove, match=rf"^picker played mask {re.escape(repr(pick))}, not a set of the 2 points, "
+                                              r"at closed state \[\]: a pick is an int mask$"):
+            run_game(sierpinski, chooser, lambda closed, offered, stage, rng: pick, GameVariant.RESTRICTED)
 
     def test_deterministic_given_seed(self):
         d = make_discrete(4)

@@ -233,34 +233,34 @@ class TestProductChooser:
     def test_sierpinski_square(self):
         s = make_sierpinski()
         prod = product([s, s])
-        chooser = product_chooser(s, s, prod=prod)
+        chooser = product_chooser(s, s)
         worst = evaluate_chooser(prod.space, chooser)
         assert worst == 1 == solve_game(prod.space).gd
 
     def test_discrete_times_sierpinski_hits_bound(self):
         x, y = make_discrete(2), make_sierpinski()
         prod = product([x, y])
-        chooser = product_chooser(x, y, prod=prod)
+        chooser = product_chooser(x, y)
         worst = evaluate_chooser(prod.space, chooser)
         assert worst == 2 == pi_weight(x) * solve_game(y).gd
 
     def test_indiscrete_square(self):
         x = make_indiscrete(2)
         prod = product([x, x])
-        worst = evaluate_chooser(prod.space, product_chooser(x, x, prod=prod))
+        worst = evaluate_chooser(prod.space, product_chooser(x, x))
         assert worst == 1
 
     def test_bound_between_gd_and_pi_times_gd(self):
         x, y = make_two_sierpinski(), make_sierpinski()
         prod = product([x, y])
-        worst = evaluate_chooser(prod.space, product_chooser(x, y, prod=prod))
+        worst = evaluate_chooser(prod.space, product_chooser(x, y))
         assert solve_game(prod.space).gd <= worst <= pi_weight(x) * solve_game(y).gd
 
     @pytest.mark.parametrize("variant", list(GameVariant))
     def test_free_and_multi_point_play_never_idles(self, variant):
         x, y = make_discrete(2), make_two_sierpinski()
         prod = product([x, y])
-        chooser = product_chooser(x, y, prod=prod)
+        chooser = product_chooser(x, y)
         assert evaluate_chooser(prod.space, chooser, variant) == 4
         done = (0, (len(minimal_opens(y)),) * 2)
         with pytest.raises(InvariantViolation, match="all sub-games finished"):
@@ -275,7 +275,7 @@ class TestProductChooser:
         assert len(pairs) == 1156
         for x, y in pairs:
             prod = product([x, y])
-            counting = product_chooser(x, y, prod=prod)
+            counting = product_chooser(x, y)
             closing = ClosureProductChooser(prod)
             both = Lockstep(counting, closing)
             worst = evaluate_chooser(prod.space, both, variant)
@@ -283,10 +283,14 @@ class TestProductChooser:
             assert worst == evaluate_chooser(prod.space, counting, variant)
             assert worst == evaluate_chooser(prod.space, closing, variant)
 
+    def test_plays_on_the_cached_product(self):
+        x, y = make_discrete(2), make_sierpinski()
+        assert product_chooser(x, y).prod is product([x, y])
+
     def test_transcript_against_stalling_picker(self):
         x, y = make_discrete(2), make_sierpinski()
         prod = product([x, y])
-        chooser = product_chooser(x, y, prod=prod)
+        chooser = product_chooser(x, y)
         t = play_transcript(prod.space, chooser, stalling_picker(prod.space))
         assert t.terminal and t.length <= 2
 
@@ -386,7 +390,7 @@ class TestAggregateChooser:
     def test_cylinder_target_matches_the_subproduct_closure(self, x, y, data):
         # the subproduct-closure phase target the chooser no longer builds
         prod = product([x, y])
-        agg = aggregate_chooser([x, y], prod=prod)
+        agg = aggregate_chooser([x, y])
         for _ in range(8):
             picks = data.draw(st.integers(min_value=0, max_value=prod.space.full))
             for gamma in agg.gammas:
@@ -406,7 +410,7 @@ class TestAggregateChooser:
         for factors in families:
             prod = product(list(factors))
             for variant in (GameVariant.RESTRICTED, GameVariant.FREE):
-                agg = aggregate_chooser(factors, prod=prod)
+                agg = aggregate_chooser(factors)
                 evaluate_chooser(prod.space, agg, variant)
                 for state, plan in agg.plans.items():
                     assert plan == closure_plan(agg, state), (prod.space.name, state)
@@ -428,12 +432,17 @@ class TestAggregateChooser:
         evaluate_chooser(agg.prod.space, agg, variant)
         assert planned and len(planned) == len(set(planned)) == len(agg.plans)
 
+    def test_plays_on_the_cached_product(self):
+        x, y = make_discrete(2), make_sierpinski()
+        assert aggregate_chooser([x, y]).prod is product([x, y])
+        assert aggregate_chooser([x, y, x]).prod is product([x, y, x])
+
     def test_aggregate_worst_is_evaluated_once_per_product(self, monkeypatch):
         import openpoint.strategies as strategies
 
         x, y = make_discrete(2), make_sierpinski()
         prod = product([x, y])
-        agg = aggregate_chooser([x, y], prod=prod)
+        agg = aggregate_chooser([x, y])
         want = evaluate_chooser(prod.space, agg)
         calls = []
 
@@ -474,8 +483,8 @@ class TestLargeProductWithoutLattice:
     def test_plays_need_no_lattice(self, d4xd5, strategy, picker):
         x, y, prod = d4xd5
         chooser = {
-            "product": lambda: product_chooser(x, y, prod=prod),
-            "aggregate": lambda: aggregate_chooser([x, y], prod=prod),
+            "product": lambda: product_chooser(x, y),
+            "aggregate": lambda: aggregate_chooser([x, y]),
             "pi-base": lambda: pi_base_chooser(prod.space),
         }[strategy]()
         transcript = play_transcript(prod.space, chooser, picker)
