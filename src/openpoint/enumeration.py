@@ -374,42 +374,32 @@ def _check_subspace_monotone(space):
     return None
 
 
-def _shortest_play(space, picker) -> int:
-    """Fewest stages the picker needs, over every line of offered minimal opens.
-
-    Offering only minimal opens loses nothing.  If the picker takes x from
-    an open U, N(x) inside U holds a minimal open m', and every y in m' has
-    x in N(y) = m', so x is in cl{y} and cl{x} is inside cl(m'): whatever
-    the picker takes from m' closes at least as much, and a larger closed
-    set never needs more stages.  The picker ignores the stage, so the
-    stages still needed depend only on the closed set, and each closed set
-    is solved once.
-    """
+def _picker_replies(space, picker) -> tuple[tuple[int, int], ...]:
+    """``(m, cl(p))`` per minimal open m, p = ``picker(0, m, 0, None)``; cl(p) is read off p's lowest point."""
     clpt = space.point_closures()
-    offers = minimal_opens(space)
-    memo = {space.full: 0}
-
-    def shortest(closed):
-        got = memo.get(closed)
-        if got is None:
-            after = []
-            for u in offers:
-                if not u & closed:
-                    picks = picker(closed, u, 0, None)
-                    after.append(shortest(closed | clpt[(picks & -picks).bit_length() - 1]))
-            got = memo[closed] = 1 + min(after)
-        return got
-
-    stages = shortest(0)
-    del shortest  # empties its own cell: no reference cycle keeps the memo alive
-    return stages
+    picks = [(m, picker(0, m, 0, None)) for m in minimal_opens(space)]
+    return tuple((m, clpt[(p & -p).bit_length() - 1]) for m, p in picks)
 
 
 def _check_dense_lower_bound(space):
+    """Every dense set A against the fewest stages of a picker confined to A.
+
+    The picker takes the lowest point p of A in each offer m, whatever the
+    state, so those stages are the game table's value on the replies
+    (m, cl(p)).  Offering only minimal opens loses nothing: if the picker
+    takes x from an open U, N(x) inside U holds a minimal open m', whose
+    points y all have x in N(y) = m', so whatever is picked from m' closes
+    cl{x} and more.  Dense sets with one reply list share a table, keyed by
+    the list itself: no pick is assumed to close to cl(m).
+    """
+    shortest = {}
     for a, target in dense_densities(space):
-        shortest = _shortest_play(space, dense_point_picker(space, a))
-        if shortest < target:
-            return {"dense_set": a, "shortest": shortest, "target": target}
+        replies = _picker_replies(space, dense_point_picker(space, a))
+        got = shortest.get(replies)
+        if got is None:
+            got = shortest[replies] = StrategyTable(space, replies).gd
+        if got < target:
+            return {"dense_set": a, "shortest": got, "target": target}
     return None
 
 

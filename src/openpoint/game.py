@@ -90,11 +90,11 @@ class StrategyTable:
     floor, so the first reply that meets it is also the first minimum: each
     stored value is exact, and each best move is the one a complete scan
     picks.  The floor is a counting fact, not the collapse
-    gd = |minimal opens| that this solver is the oracle for.  Callers that
-    need a value or a line get this lazy table (``solved_gd``,
-    ``value_function``, optimal play); on D4 x D4 the value from the empty
-    state solves 17 of the 2^16 states.  ``solve_game`` turns the cut off,
-    so its table holds every state reachable from the empty one.
+    gd = |minimal opens| that this solver is the oracle for.  The table
+    has one mode: a caller that needs a value or a line asks for the
+    states it reads (``solved_gd``, ``value_function``, optimal play; on
+    D4 x D4 the value from the empty state solves 17 of the 2^16 states),
+    and ``solve_game`` asks for every state reachable from the empty one.
 
     A table holds at most ``STATES_CAP`` states: storing one more raises
     TooLarge, naming the cap.  It counts the states solved, not a bound on
@@ -109,21 +109,25 @@ class StrategyTable:
     cl{y} & S = cl(m) & S for each y in m.  The floor counts |S| points.
     ``subspace`` relabels S by an increasing map, which keeps the numeric
     order of masks: every value and best move are the relabeled subspace
-    table's.
+    table's.  Any replies ``(m, add)`` with m non-empty and inside add are
+    solved alike (``dense-lower-bound`` solves a picker's); any other reply
+    could lead a state back to itself, forever, and is refused (ValueError).
     """
 
     def __init__(self, space: FiniteSpace, replies: list | None = None):
         self.space = space
         self._replies = _reply_closures(space) if replies is None else replies
         terminal, widest = 0, 1
-        for _, add in self._replies:
+        for m, add in self._replies:
+            if not m or m & ~add:
+                raise ValueError(f"the reply ({m:#b}, {add:#b}) cannot grow a state: "
+                                 "its open must be non-empty and inside its closure")
             terminal |= add
             widest = max(widest, add.bit_count())
         self.value: dict[int, float] = {terminal: 0}
         self.best_move: dict[int, int] = {}
         self._widest = widest
         self._last = terminal.bit_count() - 1
-        self._cut = True
 
     @property
     def gd(self) -> int:
@@ -135,7 +139,7 @@ class StrategyTable:
         if got is not None:
             return got
         get, replies, n = value.get, self._replies, len(self._replies)
-        cut, widest, last, cap = self._cut, self._widest, self._last, STATES_CAP
+        widest, last, cap = self._widest, self._last, STATES_CAP
         # one frame per open state: (state, next reply, best value, best move)
         stack = [(closed, 0, INFINITE, None)]
         while stack:
@@ -154,7 +158,7 @@ class StrategyTable:
                     # a state of k of its |S| points has the floor
                     # ceil((|S| - k) / widest), which a next state worth
                     # (|S| - 1 - k) // widest meets
-                    if cut and val <= (last - state.bit_count()) // widest:
+                    if val <= (last - state.bit_count()) // widest:
                         break
             if val is None:  # solve the next state, then read reply i again
                 stack += (state, i, best_val, best_mv), (nxt, 0, INFINITE, None)
@@ -187,13 +191,18 @@ def solve_game(space: FiniteSpace) -> StrategyTable:
     """The complete table for every variant: every closed state reachable from the empty one.
 
     For the callers that read every state, ``openpoint solve`` and the
-    ``value-monotone`` check.  It runs the lazy table's loop with the cut
-    off, so no reply list is cut short.  Raises TooLarge past
-    ``STATES_CAP``, as every table does.
+    ``value-monotone`` check.  It walks the states reachable from the
+    empty one and asks the table for each; a table cut at its floor
+    stores exactly what a complete scan finds (``StrategyTable``).
+    Raises TooLarge past ``STATES_CAP``, as every table does.
     """
-    table = StrategyTable(space)
-    table._cut = False
-    table(0)
+    table, seen, reached = StrategyTable(space), {0}, [0]
+    for closed in reached:  # grows while it is read
+        table(closed)
+        for m, add in table._replies:
+            if not m & closed and (nxt := closed | add) not in seen:
+                seen.add(nxt)
+                reached.append(nxt)
     if INFINITE in table.value.values():
         raise InvariantViolation("a reachable state has no finite value")
     return table

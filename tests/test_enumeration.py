@@ -22,13 +22,13 @@ from openpoint.enumeration import (
     _check_oracles,
     _check_subspace_monotone,
     _check_variants,
-    _shortest_play,
+    _picker_replies,
     canonical_form,
     enumerate_labeled,
     enumerate_unlabeled,
     verify_suite,
 )
-from openpoint.game import GameVariant
+from openpoint.game import GameVariant, StrategyTable
 from openpoint.products import FanStatus, product
 from openpoint.space import FiniteSpace, TooLarge, bits, closures, is_dense, space_from_masks
 from openpoint.strategies import dense_point_picker
@@ -326,7 +326,18 @@ class TestSuite:
                 for a in range(1, space.full + 1):
                     if is_dense(space, a):
                         picker = dense_point_picker(space, a)
-                        assert _shortest_play(space, picker) == min(chooser_line_lengths(space, picker))
+                        shortest = StrategyTable(space, _picker_replies(space, picker)).gd
+                        assert shortest == min(chooser_line_lengths(space, picker))
+
+    def test_dense_lower_bound_reads_the_picks(self):
+        # opens {}, {a, b}, {d}, {a, b, d}, with cl{b} widened to the whole
+        # space: the picker confined to {b, d} takes b from {a, b} and ends
+        # the game in one stage, while {a, d} still needs two.  A table
+        # shared by every dense set, or replies read off the lowest point
+        # of each minimal open, would miss it.
+        space = space_from_masks("planted", ("a", "b", "d"), (0b000, 0b011, 0b100, 0b111))
+        space._cache["point_closures"] = (0b011, 0b111, 0b100)
+        assert _check_dense_lower_bound(space) == {"dense_set": 0b110, "shortest": 1, "target": 2}
 
     def test_shortest_play_leaves_no_reference_cycle(self):
         space = make_indiscrete(4)

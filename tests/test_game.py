@@ -243,11 +243,12 @@ def reply_lists(draw):
 
 
 class TestFloor:
-    """The lazy table, cut at each state's floor, against the complete solve.
+    """The lazy table, cut at each state's floor, against a scan of every reply.
 
     After ``table(0)`` every state the lazy table holds has the complete
     table's value and best move; solving every other reachable state on
-    the same table then fills it to the complete table exactly.
+    the same table then fills it to the complete table exactly.  The
+    complete table comes from ``_full_scan``, never from the table itself.
     """
 
     @staticmethod
@@ -260,28 +261,27 @@ class TestFloor:
             lazy(closed)
         assert (lazy.value, lazy.best_move) == (value, best)
 
-    def _assert_same_as_solve(self, space):
-        complete = solve_game(space)
-        self._assert_agrees(StrategyTable(space), complete.value, complete.best_move)
+    def _assert_same_as_scan(self, space):
+        self._assert_agrees(StrategyTable(space), *_full_scan(_reply_closures(space), space.full))
 
     def test_every_labeled_space_up_to_five_points(self, labeled_corpus):
         five = list(enumerate_labeled(5))
         assert len(five) == 6942
         for space in [s for n in range(1, 5) for s in labeled_corpus[n]] + five:
-            self._assert_same_as_solve(space)
+            self._assert_same_as_scan(space)
 
     def test_pair_corpus_products(self, labeled_corpus):
         small = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
         pairs = list(itertools.product(small, repeat=2))
         assert len(pairs) == 1156
         for x, y in pairs:
-            self._assert_same_as_solve(product([x, y]).space)
+            self._assert_same_as_scan(product([x, y]).space)
 
     @pytest.mark.parametrize("factors", [
         make_cli_class_factors, lambda: (make_discrete(4), make_discrete(4)),
     ], ids=["cli-class", "D4xD4"])
     def test_large_products(self, factors):
-        self._assert_same_as_solve(product(list(factors())).space)
+        self._assert_same_as_scan(product(list(factors())).space)
 
     def test_d4_squared_solves_one_line(self):
         # every closure is one point, so every reply meets the floor: the
@@ -439,6 +439,17 @@ class TestReplyList:
             clpt = space.point_closures()
             for m in minimal_opens(space):
                 assert len({clpt[x] for x in _points(m)}) == 1, (space, m)
+
+    @pytest.mark.parametrize("replies", [
+        [(0b10, 0b01), (0b01, 0b11)],  # ({b}, {a}) leads {a} back to itself
+        [(0b00, 0b01), (0b10, 0b11)],  # an empty open is legal at {a} and leads back to it
+    ], ids=["open-outside-its-closure", "empty-open"])
+    def test_a_reply_that_cannot_grow_the_state_is_refused(self, replies):
+        # refused when the table is built: solving it would push the same
+        # state on its stack until memory runs out
+        bad = replies[0]
+        with pytest.raises(ValueError, match=re.escape(f"({bad[0]:#b}, {bad[1]:#b})")):
+            StrategyTable(make_discrete(2), replies)
 
     @pytest.fixture
     def reads(self, monkeypatch):
