@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .space import FiniteSpace, TooLarge, bits, minimal_opens
 
@@ -34,8 +34,6 @@ class IllegalMove(Exception):
 
     def __init__(self, offender: str, space: FiniteSpace, closed: int, move: int, why: str):
         self.offender = offender
-        self.closed = closed
-        self.move = move
         played = (space.labels_of(move) if isinstance(move, int) and 0 <= move <= space.full
                   else f"mask {move!r}, not a set of the {space.n} points,")
         super().__init__(
@@ -194,15 +192,19 @@ def solve_game(space: FiniteSpace) -> StrategyTable:
     ``value-monotone`` check.  It walks the states reachable from the
     empty one and asks the table for each; a table cut at its floor
     stores exactly what a complete scan finds (``StrategyTable``).
-    Raises TooLarge past ``STATES_CAP``, as every table does.
+    Raises TooLarge past ``STATES_CAP``, as every table does, and as soon
+    as the walk has seen more states than that: the complete table must
+    store every reachable state, so such a table would be refused anyway.
     """
-    table, seen, reached = StrategyTable(space), {0}, [0]
+    table, seen, reached, cap = StrategyTable(space), {0}, [0], STATES_CAP
     for closed in reached:  # grows while it is read
         table(closed)
         for m, add in table._replies:
             if not m & closed and (nxt := closed | add) not in seen:
                 seen.add(nxt)
                 reached.append(nxt)
+        if len(seen) > cap:
+            raise TooLarge(f"the game has more reachable states than the cap of {cap} states")
     if INFINITE in table.value.values():
         raise InvariantViolation("a reachable state has no finite value")
     return table
@@ -337,15 +339,13 @@ def evaluate_chooser(space: FiniteSpace, policy, variant: GameVariant = GameVari
     return value
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     offered: int
     picks: int
     closure_after: int
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     space: FiniteSpace
     steps: tuple[Step, ...]
     terminal: bool

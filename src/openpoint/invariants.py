@@ -12,8 +12,8 @@ in this module assumes the inequality chain it is used to verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .space import FiniteSpace, bits, closures, minimal_opens
 
@@ -158,8 +158,7 @@ def tightness(space: FiniteSpace) -> int:
     return worst
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     d: int
     delta: int
     gd: int

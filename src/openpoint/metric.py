@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .game import solved_gd
 from .invariants import delta, density, pi_weight, weight
@@ -23,8 +23,7 @@ class InvalidMetric(TopologyError):
     pass
 
 
-@dataclass(frozen=True)
-class PseudometricSpace:
+class PseudometricSpace(NamedTuple):
     labels: tuple[str, ...]
     dist: tuple[tuple[Fraction, ...], ...]
 
@@ -91,8 +90,7 @@ def _ball(m: PseudometricSpace, center: int, radius: Fraction) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class GreedyRun:
+class GreedyRun(NamedTuple):
     order: tuple[int, ...]
     radii: tuple[Fraction, ...]
 

@@ -8,15 +8,16 @@ reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, reduce
 from itertools import combinations, islice, product as iter_product
 from math import prod as size_product
 from operator import or_
+from typing import NamedTuple
 
 from .space import (
     FiniteSpace,
+    Frozen,
     TooLarge,
     bits,
     from_preorder,
@@ -33,11 +34,22 @@ SUBSET_LOOP_CAP = 1 << 12
 FAMILY_TRY_CAP = 64
 
 
-@dataclass(frozen=True, eq=False)
-class ProductSpace:
-    factors: tuple[FiniteSpace, ...]
-    space: FiniteSpace
-    sizes: tuple[int, ...]
+class ProductSpace(Frozen):
+    """A product built by ``product``: its factors, its space, and the factor sizes.
+
+    Two products are equal only when they are the same object.
+    """
+
+    __slots__ = ("factors", "space", "sizes")
+
+    def __init__(self, factors: tuple[FiniteSpace, ...], space: FiniteSpace, sizes: tuple[int, ...]):
+        set_field = object.__setattr__
+        set_field(self, "factors", factors)
+        set_field(self, "space", space)
+        set_field(self, "sizes", sizes)
+
+    def __repr__(self) -> str:
+        return f"ProductSpace(factors={self.factors!r}, space={self.space!r}, sizes={self.sizes!r})"
 
     def decode(self, idx: int) -> tuple[int, ...]:
         return _decode(self.sizes, idx)
@@ -152,8 +164,7 @@ class FanStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class FanTightnessVerdict:
+class FanTightnessVerdict(NamedTuple):
     kappa: int
     status: FanStatus
     witness: dict

@@ -24,7 +24,6 @@ Space files are read with one Python pass over their labels
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 PointSet = int
@@ -85,8 +84,24 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteSpace:
+class Frozen:
+    """Base of the slotted value classes: ``__init__`` sets each field once, then none changes.
+
+    Fields are set with ``object.__setattr__``; assigning or deleting one
+    afterwards raises AttributeError.  These classes are plain slotted
+    classes rather than dataclasses, which generate their code at import.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteSpace(Frozen):
     """A checked finite topology.
 
     ``nbhds[x]`` is N(x), the smallest open containing point x, computed
@@ -94,14 +109,19 @@ class FiniteSpace:
     Instances are immutable and safe to share; two spaces compare equal
     when they have the same rows, names and labels aside, which is when
     they have the same opens.  ``_cache`` holds what is derived from the
-    rows, the open lattice included.
+    rows, the open lattice included; it only ever gains entries.
     """
 
-    name: str
-    n: int
-    point_labels: tuple[str, ...]
-    nbhds: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("name", "n", "point_labels", "nbhds", "_cache", "__weakref__")
+
+    def __init__(self, name: str, n: int, point_labels: tuple[str, ...], nbhds: tuple[int, ...],
+                 _cache: dict | None = None):
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "n", n)
+        set_field(self, "point_labels", point_labels)
+        set_field(self, "nbhds", nbhds)
+        set_field(self, "_cache", {} if _cache is None else _cache)
 
     @property
     def full(self) -> int:

@@ -9,13 +9,12 @@ every picker line stays a pure traversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import NamedTuple
 
 from .game import InvariantViolation, evaluate_chooser, value_function
 from .products import ProductSpace, product
-from .space import FiniteSpace, TopologyError, minimal_opens
+from .space import FiniteSpace, Frozen, TopologyError, minimal_opens
 
 
 class NotDense(TopologyError):
@@ -26,23 +25,38 @@ class LedgerOrderViolation(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class OrderedPiBase:
-    """A well-ordered pi-base: every non-empty open contains some member."""
+class OrderedPiBase(Frozen):
+    """A well-ordered pi-base: every non-empty open contains some member.
 
-    space: FiniteSpace
-    members: tuple[int, ...]
+    Two bases are equal when they have the same space and the same members
+    in the same order.
+    """
 
-    def __post_init__(self):
-        for m in self.members:
-            if not m or not self.space.is_open(m):
+    __slots__ = ("space", "members")
+
+    def __init__(self, space: FiniteSpace, members: tuple[int, ...]):
+        for m in members:
+            if not m or not space.is_open(m):
                 raise ValueError(f"base member {m:b} is empty or not open")
         # every non-empty open is a union of N(x), so checking the N(x) is enough
-        for nbhd in self.space.nbhds:
-            if not any(nbhd & m == m for m in self.members):
+        for nbhd in space.nbhds:
+            if not any(nbhd & m == m for m in members):
                 raise ValueError(
-                    f"open {self.space.labels_of(nbhd)} contains no base member"
+                    f"open {space.labels_of(nbhd)} contains no base member"
                 )
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.members) == (other.space, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.members))
+
+    def __repr__(self) -> str:
+        return f"OrderedPiBase(space={self.space!r}, members={self.members!r})"
 
     def __len__(self) -> int:
         return len(self.members)
@@ -180,8 +194,7 @@ class LedgerEntry(NamedTuple):
     epsilon: int
 
 
-@dataclass(frozen=True)
-class PhaseLedger:
+class PhaseLedger(NamedTuple):
     entries: tuple[LedgerEntry, ...]
 
     def check_increasing(self) -> None:

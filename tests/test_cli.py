@@ -31,6 +31,9 @@ def discrete2_file(tmp_path):
 # sha256 of ``solve`` on the product of ``make_cli_class_factors()``
 SIXTEEN_POINT_SOLVE_SHA256 = "d5a75ddfbd8ba60a010931e090ff0123138cd558f9bd88848e93365483ebff3f"
 
+# sha256 of ``solve`` on the product file of D3 x D3 that CI builds: 512 states
+D3_SQUARED_SOLVE_SHA256 = "745e89f8822a2acdd6d4a4d98e33ba3a2630e5315fc7b78c6f31d192c1c7e877"
+
 # the factors S x C3 x D2 of the fan-check spec that CI runs
 CI_FAN_SPEC = {"factors": [
     {"name": "S", "points": ["a", "b"], "opens": [[], ["b"], ["a", "b"]]},
@@ -150,6 +153,20 @@ class TestSolve:
         assert code == 0, err
         assert len(out.splitlines()) == 64
         assert hashlib.sha256(out.encode()).hexdigest() == SIXTEEN_POINT_SOLVE_SHA256
+
+    def test_d3_squared_table_is_pinned(self, tmp_path):
+        # every state reachable from the empty one, though the floor cuts
+        # most scans: the first call solves one line, not all 512 states
+        points = ["p0", "p1", "p2"]
+        d3 = {"name": "D3", "points": points,
+              "opens": [[p for i, p in enumerate(points) if u >> i & 1] for u in range(8)]}
+        path, prod = tmp_path / "d3.json", str(tmp_path / "p.json")
+        path.write_text(json.dumps(d3))
+        assert invoke(["product", str(path), str(path), "-o", prod])[0] == 0
+        code, out, err = invoke(["solve", prod])
+        assert code == 0, err
+        assert len(out.splitlines()) == 512
+        assert hashlib.sha256(out.encode()).hexdigest() == D3_SQUARED_SOLVE_SHA256
 
 
 class TestPlay:

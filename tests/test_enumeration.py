@@ -1,7 +1,6 @@
 import gc
 import weakref
 from array import array
-from dataclasses import replace
 from functools import cache
 from itertools import permutations
 from math import factorial
@@ -109,7 +108,7 @@ BROKEN_ROUTES = [
      lambda real: lambda space: real(space)[1:],
      {"uncovered_open": 0b0010}),
     ("chain", "invariant_report",
-     lambda real: lambda space: replace(real(space), d=3),
+     lambda real: lambda space: real(space)._replace(d=3),
      {"space": "two_sierpinski", "n": 4, "d": 3, "delta": 2, "gd": 2, "pi": 2, "w": 4, "t": 1}),
     ("collapse", "density_brute",
      lambda real: lambda space: real(space) + 1,
@@ -136,8 +135,8 @@ BROKEN_ROUTES = [
      lambda real: lambda space, policy: real(space, policy) + 1,
      {"product_worst": 3}),
     ("fan-link", "fan_tightness_check",  # the at-most-kappa-factors fallback
-     lambda real: lambda factors, kappa, pool: replace(
-         real(factors, kappa, pool), status=FanStatus.HOLDS_VIA_SUFFICIENT_CONDITION),
+     lambda real: lambda factors, kappa, pool: real(factors, kappa, pool)._replace(
+         status=FanStatus.HOLDS_VIA_SUFFICIENT_CONDITION),
      {"fan": "holds-via-sufficient-condition"}),
     ("fan-link", "aggregate_worst",
      lambda real: lambda prod: real(prod) + 1,

@@ -350,6 +350,26 @@ class TestFloor:
         with pytest.raises(TooLarge, match="cap of 64 states"):
             StrategyTable(space).gd
 
+    def test_the_walk_is_refused_once_it_has_seen_more_states_than_the_cap(self, monkeypatch):
+        import openpoint.game as game
+
+        # D20 has 2^20 reachable states.  Under a cap of 1,000 the walk has
+        # seen 1,310 of them when the table stores its 1,000th: the count of
+        # states seen refuses it first
+        monkeypatch.setattr(game, "STATES_CAP", 1000)
+        with pytest.raises(TooLarge, match="more reachable states than the cap of 1000 states"):
+            solve_game(from_preorder([1 << x for x in range(20)]))
+
+    def test_a_walk_of_exactly_the_cap_is_solved(self, monkeypatch):
+        import openpoint.game as game
+
+        # D6: 64 reachable states, each stored
+        monkeypatch.setattr(game, "STATES_CAP", 64)
+        assert len(solve_game(make_discrete(6)).value) == 64
+        monkeypatch.setattr(game, "STATES_CAP", 63)
+        with pytest.raises(TooLarge, match="cap of 63 states"):
+            solve_game(make_discrete(6))
+
     def test_d32_squared_needs_no_recursion(self):
         # 1,024 stages from the empty state, past the default recursion limit
         d32 = from_preorder([1 << x for x in range(32)])
