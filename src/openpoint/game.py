@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .space import FiniteSpace, TooLarge, bits, minimal_opens
@@ -185,26 +187,39 @@ def _reply_closures(space: FiniteSpace) -> list[tuple[int, int]]:
     return [(m, clpt[(m & -m).bit_length() - 1]) for m in minimal_opens(space)]
 
 
-def solve_game(space: FiniteSpace) -> StrategyTable:
-    """The complete table for every variant: every closed state reachable from the empty one.
+def _reachable(replies: list[tuple[int, int]]):
+    """Yield each state reachable from the empty one over ``replies``, as the walk reaches it.
 
-    For the callers that read every state, ``openpoint solve`` and the
-    ``value-monotone`` check.  It walks the states reachable from the
-    empty one and asks the table for each; a table cut at its floor
-    stores exactly what a complete scan finds (``StrategyTable``).
-    Raises TooLarge past ``STATES_CAP``, as every table does, and as soon
-    as the walk has seen more states than that: the complete table must
-    store every reachable state, so such a table would be refused anyway.
+    A state is yielded before its next states are queued.  Raises TooLarge
+    as soon as the walk has seen more than ``STATES_CAP`` states, checked
+    after each state's next states are queued.
     """
-    table, seen, reached, cap = StrategyTable(space), {0}, [0], STATES_CAP
+    seen, reached, cap = {0}, [0], STATES_CAP
     for closed in reached:  # grows while it is read
-        table(closed)
-        for m, add in table._replies:
+        yield closed
+        for m, add in replies:
             if not m & closed and (nxt := closed | add) not in seen:
                 seen.add(nxt)
                 reached.append(nxt)
         if len(seen) > cap:
             raise TooLarge(f"the game has more reachable states than the cap of {cap} states")
+
+
+def solve_game(space: FiniteSpace) -> StrategyTable:
+    """The complete table for every variant: every closed state reachable from the empty one.
+
+    For the callers that read every state, ``openpoint solve`` and the
+    ``value-monotone`` check.  It walks the states reachable from the
+    empty one and asks the table for each as the walk reaches it; a table
+    cut at its floor stores exactly what a complete scan finds
+    (``StrategyTable``).  Raises TooLarge past ``STATES_CAP``, as every
+    table does, and as soon as the walk has seen more states than that:
+    the complete table must store every reachable state, so such a table
+    would be refused anyway.
+    """
+    table = StrategyTable(space)
+    for closed in _reachable(table._replies):
+        table(closed)
     if INFINITE in table.value.values():
         raise InvariantViolation("a reachable state has no finite value")
     return table
@@ -225,25 +240,23 @@ def exact_force_set(space: FiniteSpace) -> frozenset[int]:
     E(full) = {0}; otherwise k is forcible when some legal open makes every
     picker reply land in a state from which k-1 is forcible.  Offers follow
     the restricted rule, the formulation under which outcomes are unchanged
-    and the recursion is well-founded.
+    and every line ends.
+
+    The states are those the walk of ``solve_game`` reaches, so the cap of
+    ``STATES_CAP`` states refuses this too.  Each legal reply m is disjoint
+    from the state and inside cl(m), so it adds at least one point: in
+    order of descending point count every next state comes before the
+    states that reach it, and one pass in that order finds each E from
+    sets already found.  The full state, the only one with every point,
+    comes first.  Each E is kept as a mask of lengths, so one more stage
+    is a shift by one.
     """
     replies = _reply_closures(space)
-    memo: dict[int, frozenset[int]] = {space.full: frozenset({0})}
-
-    def visit(closed: int) -> frozenset[int]:
-        got = memo.get(closed)
-        if got is not None:
-            return got
-        out: set[int] = set()
-        for m, add in replies:
-            if not m & closed:
-                out.update(k + 1 for k in visit(closed | add))
-        memo[closed] = frozenset(out)
-        return memo[closed]
-
-    forcible = visit(0)
-    del visit  # empties its own cell: no reference cycle keeps the memo alive
-    return forcible
+    forced = {space.full: 1}  # bit k set: the length k is forcible
+    for closed in sorted(_reachable(replies), key=int.bit_count, reverse=True)[1:]:
+        nexts = [forced[closed | add] for m, add in replies if not m & closed]
+        forced[closed] = reduce(or_, nexts, 0) << 1
+    return frozenset(bits(forced[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -302,41 +315,53 @@ def _check_pick(space: FiniteSpace, closed: int, offered: int, picks: int, varia
 def evaluate_chooser(space: FiniteSpace, policy, variant: GameVariant = GameVariant.RESTRICTED):
     """Worst-case game length for a chooser against every picker line.
 
-    Full traversal of picker replies with memoization on (closed state,
-    policy state).  Returns ``math.inf`` when some line never terminates,
-    which only happens for policies that allow the picker to stall.  A
-    line descends only while the closed set grows, so it meets no state twice.
+    Full traversal of picker replies with memoization on the position
+    (closed state, policy state).  Returns ``math.inf`` when some line
+    never terminates, which only happens for policies that allow the
+    picker to stall.  A line descends only while the closed set grows, so
+    it meets no position twice.
+
+    The walk keeps an explicit stack, one frame per open position:
+    (position, replies, next reply, worst so far, pending position).  A
+    position is opened once, with one ``choose``; each reply is closed,
+    checked for a stall and passed to ``observe`` once, and then its next
+    position is read from the memo (the full state is worth 0).  An
+    unsolved next position is pushed above its frame as pending; the frame
+    resumes at the next reply by reading the pending value from the memo,
+    with no second ``observe``.  So ``initial_state``, ``choose`` and
+    ``observe`` are called in the order of a depth-first walk of the lines,
+    and an illegal offer is met where that walk first makes it.
     """
     chooser = as_chooser(policy)
-    full = space.full
+    full, closure_of, multi = space.full, space.closure_of, variant is GameVariant.MULTI_POINT
     memo: dict = {}
-
-    def worst(closed: int, state) -> float:
-        if closed == full:
-            return 0
-        key = (closed, state)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        move = chooser.choose(closed, state)
-        _check_offer(space, closed, move, variant)
-        if variant is GameVariant.MULTI_POINT:
-            replies = _multi_replies(move)
-        else:
-            replies = [1 << x for x in bits(move)]
-        val: float = 0
-        for picks in replies:
-            nxt = closed | space.closure_of(picks)
-            if nxt == closed:
-                val = INFINITE
+    root = (0, chooser.initial_state())
+    stack = [(root, None, 0, 0, None)]
+    while stack:
+        pos, replies, i, worst, pending = stack.pop()
+        closed, state = pos
+        if replies is None:  # opened: the chooser offers once
+            move = chooser.choose(closed, state)
+            _check_offer(space, closed, move, variant)
+            replies = _multi_replies(move) if multi else [1 << x for x in bits(move)]
+        else:  # resumed: reply i led to the pending position, now solved
+            worst = max(worst, memo[pending])
+            i += 1
+        for i in range(i, len(replies)):
+            picks = replies[i]
+            nxt = closed | closure_of(picks)
+            if nxt == closed:  # the picker can repeat this reply forever
+                memo[pos] = INFINITE
                 break
-            val = max(val, worst(nxt, chooser.observe(state, picks)))
-        memo[key] = val + 1
-        return val + 1
-
-    value = worst(0, chooser.initial_state())
-    del worst  # empties its own cell: no reference cycle keeps the space alive
-    return value
+            pending = (nxt, chooser.observe(state, picks))
+            val = 0 if nxt == full else memo.get(pending)
+            if val is None:  # solve the pending position, then resume after reply i
+                stack += (pos, replies, i, worst, pending), (pending, None, 0, 0, None)
+                break
+            worst = max(worst, val)
+        else:
+            memo[pos] = worst + 1
+    return memo[root]
 
 
 class Step(NamedTuple):

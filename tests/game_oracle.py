@@ -7,6 +7,11 @@ point of the offer or, in the multi-point variant, every non-empty subset,
 each closed point by point.  It costs far more than the solver, so it is
 kept for the tests only.
 
+``reference_exact_force_set`` and ``reference_evaluate_chooser`` are the
+recursive forms of ``game.exact_force_set`` and ``game.evaluate_chooser``,
+one call per stage: the walks on explicit stacks must return what they
+return and, for a chooser, make the same calls in the same order.
+
 ``trace_replies`` finds the reply list of the game on a subspace from its
 own traces, for any subset; ``subspace-monotone`` restricts the whole
 space's list to its open and dense subjects instead.
@@ -16,8 +21,15 @@ import math
 from functools import reduce
 from operator import or_
 
-from openpoint.game import GameVariant
-from openpoint.space import inclusion_minimal, subset_points
+from openpoint.game import (
+    INFINITE,
+    GameVariant,
+    _check_offer,
+    _multi_replies,
+    _reply_closures,
+    as_chooser,
+)
+from openpoint.space import FiniteSpace, bits, inclusion_minimal, subset_points
 
 
 def trace_replies(space, within):
@@ -107,3 +119,70 @@ def chooser_line_lengths(space, picker):
 
     walk(0, 0, 0)
     return lengths
+
+
+def reference_exact_force_set(space: FiniteSpace) -> frozenset[int]:
+    """Lengths the chooser can force the game to have exactly.
+
+    E(full) = {0}; otherwise k is forcible when some legal open makes every
+    picker reply land in a state from which k-1 is forcible.  Offers follow
+    the restricted rule, the formulation under which outcomes are unchanged
+    and the recursion is well-founded.
+    """
+    replies = _reply_closures(space)
+    memo: dict[int, frozenset[int]] = {space.full: frozenset({0})}
+
+    def visit(closed: int) -> frozenset[int]:
+        got = memo.get(closed)
+        if got is not None:
+            return got
+        out: set[int] = set()
+        for m, add in replies:
+            if not m & closed:
+                out.update(k + 1 for k in visit(closed | add))
+        memo[closed] = frozenset(out)
+        return memo[closed]
+
+    forcible = visit(0)
+    del visit  # empties its own cell: no reference cycle keeps the memo alive
+    return forcible
+
+
+def reference_evaluate_chooser(space: FiniteSpace, policy, variant: GameVariant = GameVariant.RESTRICTED):
+    """Worst-case game length for a chooser against every picker line.
+
+    Full traversal of picker replies with memoization on (closed state,
+    policy state).  Returns ``math.inf`` when some line never terminates,
+    which only happens for policies that allow the picker to stall.  A
+    line descends only while the closed set grows, so it meets no state twice.
+    """
+    chooser = as_chooser(policy)
+    full = space.full
+    memo: dict = {}
+
+    def worst(closed: int, state) -> float:
+        if closed == full:
+            return 0
+        key = (closed, state)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        move = chooser.choose(closed, state)
+        _check_offer(space, closed, move, variant)
+        if variant is GameVariant.MULTI_POINT:
+            replies = _multi_replies(move)
+        else:
+            replies = [1 << x for x in bits(move)]
+        val: float = 0
+        for picks in replies:
+            nxt = closed | space.closure_of(picks)
+            if nxt == closed:
+                val = INFINITE
+                break
+            val = max(val, worst(nxt, chooser.observe(state, picks)))
+        memo[key] = val + 1
+        return val + 1
+
+    value = worst(0, chooser.initial_state())
+    del worst  # empties its own cell: no reference cycle keeps the space alive
+    return value

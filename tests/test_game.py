@@ -14,6 +14,7 @@ from openpoint.game import (
     IllegalMove,
     StrategyTable,
     _reply_closures,
+    as_chooser,
     evaluate_chooser,
     exact_force_set,
     first_point_picker,
@@ -30,7 +31,13 @@ from openpoint.game import (
 from openpoint.invariants import delta, density
 from openpoint.products import product
 from openpoint.enumeration import enumerate_labeled
-from openpoint.strategies import table_chooser
+from openpoint.strategies import (
+    aggregate_chooser,
+    optimal_chooser,
+    pi_base_chooser,
+    product_chooser,
+    table_chooser,
+)
 from openpoint.space import (
     FiniteSpace,
     TooLarge,
@@ -42,7 +49,13 @@ from openpoint.space import (
 )
 
 from .conftest import make_chain, make_cli_class_factors, make_discrete, make_indiscrete
-from .game_oracle import joined_closures, oracle_values, trace_replies
+from .game_oracle import (
+    joined_closures,
+    oracle_values,
+    reference_evaluate_chooser,
+    reference_exact_force_set,
+    trace_replies,
+)
 from .util import spaces
 
 ALL_VARIANTS = list(GameVariant)
@@ -537,6 +550,11 @@ class TestSolvedGd:
             assert solved_gd(space) == solve_game(space).gd
 
 
+def _evaluate_aggregate(factors):
+    chooser = aggregate_chooser(factors)
+    return evaluate_chooser(chooser.prod.space, chooser)
+
+
 class TestNoReferenceCycle:
     """A walk over the states drops everything it made when it returns.
 
@@ -546,7 +564,10 @@ class TestNoReferenceCycle:
 
     @pytest.mark.parametrize("walk", [
         lambda space: StrategyTable(space)(0), solve_game, exact_force_set,
-    ], ids=["StrategyTable", "solve_game", "exact_force_set"])
+        lambda space: evaluate_chooser(space, pi_base_chooser(space)),
+        lambda space: _evaluate_aggregate([space]),
+    ], ids=["StrategyTable", "solve_game", "exact_force_set",
+            "evaluate_chooser-pi-base", "evaluate_chooser-aggregate"])
     def test_one_call_leaves_nothing_to_collect(self, walk):
         space = make_discrete(4)
         gc.collect()
@@ -579,6 +600,46 @@ class TestExactForce:
         gd = solve_game(space).gd
         for k in forced:
             assert k == gd == delta(space) == density(space)
+
+    def test_every_labeled_space_up_to_five_points_matches_the_recursive_form(self, labeled_corpus):
+        five = list(enumerate_labeled(5))
+        for space in [s for n in range(1, 5) for s in labeled_corpus[n]] + five:
+            assert exact_force_set(space) == reference_exact_force_set(space)
+
+    def test_pair_corpus_products_match_the_recursive_form(self, labeled_corpus):
+        small = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
+        for x, y in itertools.product(small, repeat=2):
+            space = product([x, y]).space
+            assert exact_force_set(space) == reference_exact_force_set(space)
+
+    def test_the_walk_is_refused_once_it_has_seen_more_states_than_the_cap(self, monkeypatch):
+        import openpoint.game as game
+
+        # D12 has 2^12 reachable states; D6 has 64, each needed
+        monkeypatch.setattr(game, "STATES_CAP", 1000)
+        with pytest.raises(TooLarge, match="more reachable states than the cap of 1000 states"):
+            exact_force_set(from_preorder([1 << x for x in range(12)]))
+        monkeypatch.setattr(game, "STATES_CAP", 64)
+        assert exact_force_set(make_discrete(6)) == {6}
+        monkeypatch.setattr(game, "STATES_CAP", 63)
+        with pytest.raises(TooLarge, match="more reachable states than the cap of 63 states"):
+            exact_force_set(make_discrete(6))
+
+    def test_d32_squared_is_refused_without_recursion(self, monkeypatch):
+        import openpoint.game as game
+
+        # a line of 1,024 stages; the walk has seen more than 10,000 states
+        # after expanding about ten of them
+        d32 = from_preorder([1 << x for x in range(32)])
+        space = product([d32, d32]).space
+        monkeypatch.setattr(game, "STATES_CAP", 10_000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            with pytest.raises(TooLarge, match="more reachable states than the cap of 10000 states"):
+                exact_force_set(space)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestEvaluate:
@@ -622,6 +683,101 @@ class TestEvaluate:
     def test_free_stall_is_infinite(self, sierpinski):
         policy = lambda closed, stage: sierpinski.full
         assert evaluate_chooser(sierpinski, policy, GameVariant.FREE) == math.inf
+
+    @pytest.mark.parametrize("chooser", [
+        lambda d, prod: pi_base_chooser(prod.space),
+        lambda d, prod: optimal_chooser(prod.space),
+        lambda d, prod: product_chooser(d, d),
+        lambda d, prod: aggregate_chooser([d, d]),
+    ], ids=["pi-base", "optimal", "product", "aggregate"])
+    def test_d32_squared_needs_no_recursion(self, chooser):
+        # 1,024 stages from the empty state, past the default recursion limit
+        d32 = from_preorder([1 << x for x in range(32)])
+        prod = product([d32, d32])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert evaluate_chooser(prod.space, chooser(d32, prod)) == 1024
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+class _Recorder:
+    """Forward every chooser call to ``policy`` and log it, in order.
+
+    With ``illegal_on`` = k, the k-th offer is replaced by the empty set.
+    """
+
+    def __init__(self, policy, illegal_on=None):
+        self.inner, self.illegal_on, self.offers, self.log = as_chooser(policy), illegal_on, 0, []
+
+    def initial_state(self):
+        self.log.append(("initial_state",))
+        return self.inner.initial_state()
+
+    def choose(self, closed, state):
+        self.log.append(("choose", closed, state))
+        self.offers += 1
+        move = self.inner.choose(closed, state)
+        return 0 if self.offers == self.illegal_on else move
+
+    def observe(self, state, picks):
+        self.log.append(("observe", state, picks))
+        return self.inner.observe(state, picks)
+
+
+class TestEvaluateAgainstTheRecursiveForm:
+    """The frame stack against ``reference_evaluate_chooser``: the value and every call, in order.
+
+    Each walk gets a fresh chooser from ``make``, wrapped in a recorder.
+    """
+
+    @staticmethod
+    def _assert_same(space, make, variant=GameVariant.RESTRICTED):
+        new, ref = _Recorder(make()), _Recorder(make())
+        assert evaluate_chooser(space, new, variant) == reference_evaluate_chooser(space, ref, variant)
+        assert new.log == ref.log
+        return len(new.log)
+
+    def test_pair_corpus_products(self, labeled_corpus):
+        small = [s for n in (1, 2, 3) for s in labeled_corpus[n]]
+        calls = 0
+        for x, y in itertools.product(small, repeat=2):
+            space = product([x, y]).space
+            for make in (lambda: product_chooser(x, y), lambda: aggregate_chooser([x, y]),
+                         lambda: pi_base_chooser(space)):
+                calls += self._assert_same(space, make)
+        assert calls > 10_000
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_every_labeled_space_up_to_four_points(self, labeled_corpus, variant):
+        for n in range(1, 5):
+            for space in labeled_corpus[n]:
+                self._assert_same(space, lambda: pi_base_chooser(space), variant)
+                self._assert_same(space, lambda: optimal_chooser(space), variant)
+
+    @pytest.mark.parametrize("variant", [GameVariant.FREE, GameVariant.MULTI_POINT])
+    def test_stalls(self, labeled_corpus, variant):
+        # offering every point lets the picker re-pick a covered one
+        for space in labeled_corpus[3]:
+            self._assert_same(space, lambda: lambda closed, stage: space.full, variant)
+
+    def test_the_same_illegal_offer_is_named_first(self, labeled_corpus):
+        x, y = make_discrete(2), labeled_corpus[2][1]
+        for space, make in [(s, lambda s=s: pi_base_chooser(s)) for s in labeled_corpus[3]] + [
+            (product([x, y]).space, lambda: aggregate_chooser([x, y])),
+            (product([y, x]).space, lambda: product_chooser(y, x)),
+        ]:
+            clean = _Recorder(make())
+            evaluate_chooser(space, clean)
+            for k in range(1, clean.offers + 1):
+                new, ref = _Recorder(make(), k), _Recorder(make(), k)
+                with pytest.raises(IllegalMove) as got:
+                    evaluate_chooser(space, new)
+                with pytest.raises(IllegalMove) as want:
+                    reference_evaluate_chooser(space, ref)
+                assert str(got.value) == str(want.value)
+                assert new.log == ref.log
 
 
 class TestPlay:
