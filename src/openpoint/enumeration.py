@@ -92,27 +92,31 @@ def _preorder_masks(n: int):
     """
     if n > PREORDER_METHOD_CAP:
         raise TooLarge(f"preorder generation is capped at n = {PREORDER_METHOD_CAP}")
-    rows = [0] * n
     out = []
-
-    def place(x):
-        if x == n:
-            out.append(enumerate_upsets(rows))
-            return
-        bit = 1 << x
-        for row in range(bit, 1 << n):
-            if not row & bit:
-                continue
-            for y in range(x):
-                ry = rows[y]
-                if (row >> y & 1 and ry & ~row) or (ry & bit and row & ~ry):
-                    break
-            else:
-                rows[x] = row
-                place(x + 1)
-
-    place(0)
+    _place(0, [0] * n, out)
     return sorted(out)
+
+
+def _place(x: int, rows: list[int], out: list) -> None:
+    """Choose row x and every later row of ``rows``: ``_preorder_masks``'s backtracking.
+
+    Each completed choice appends its up-sets to ``out``.
+    """
+    n = len(rows)
+    if x == n:
+        out.append(enumerate_upsets(rows))
+        return
+    bit = 1 << x
+    for row in range(bit, 1 << n):
+        if not row & bit:
+            continue
+        for y in range(x):
+            ry = rows[y]
+            if (row >> y & 1 and ry & ~row) or (ry & bit and row & ~ry):
+                break
+        else:
+            rows[x] = row
+            _place(x + 1, rows, out)
 
 
 def _labeled_families(n: int, method: str = "preorder"):

@@ -64,19 +64,20 @@ def _least_cover(cands, need: int) -> int:
     if any(r not in holders for r in bits(need)):
         raise AssertionError("the candidates together leave a requirement unmet")
     fewest_first = sorted(holders, key=lambda r: len(holders[r]))
-
-    def covered(left: int, k: int) -> bool:
-        if not left:
-            return True
-        if not k:
-            return False
-        r = next(r for r in fewest_first if left >> r & 1)
-        return any(covered(left & ~cand, k - 1) for cand in holders[r])
-
     k = 0
-    while not covered(need, k):
+    while not _covered(holders, fewest_first, need, k):
         k += 1
     return k
+
+
+def _covered(holders, fewest_first, left: int, k: int) -> bool:
+    """Whether k of the candidates in ``holders`` cover ``left``: ``_least_cover``'s search."""
+    if not left:
+        return True
+    if not k:
+        return False
+    r = next(r for r in fewest_first if left >> r & 1)
+    return any(_covered(holders, fewest_first, left & ~cand, k - 1) for cand in holders[r])
 
 
 def pi_weight_brute(space: FiniteSpace) -> int:
@@ -172,16 +173,7 @@ class InvariantReport(NamedTuple):
         return 1 <= self.d <= self.delta <= self.gd <= self.pi <= self.w
 
     def as_record(self, space: FiniteSpace) -> dict:
-        return {
-            "space": space.name,
-            "n": space.n,
-            "d": self.d,
-            "delta": self.delta,
-            "gd": self.gd,
-            "pi": self.pi,
-            "w": self.w,
-            "t": self.t,
-        }
+        return {"space": space.name, "n": space.n, **self._asdict()}
 
 
 def invariant_report(space: FiniteSpace) -> InvariantReport:

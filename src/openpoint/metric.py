@@ -232,6 +232,8 @@ def metric_from_json(obj: dict) -> PseudometricSpace:
         raise InvalidMetric(f"metric object is missing field {exc}") from exc
     if not is_str_list(points) or not points:
         raise InvalidMetric('field "points" must be a non-empty list of strings')
+    if len(points) > MAX_POINTS:  # before the quadratic parse and the cubic triangle check
+        raise TooLarge(f"{len(points)} points exceeds the {MAX_POINTS}-point cap")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise InvalidMetric('field "dist" must be a list of lists')
     return pseudometric(points, [[_parse_distance(v) for v in row] for row in dist])

@@ -191,21 +191,25 @@ def _slice_closures(space: FiniteSpace, keys, v: int) -> tuple[int, ...]:
     rep: dict[int, int] = {}
     for p in bits(v):
         rep.setdefault(keys[p], p)
-    want = reduce(or_, rep, 0)
     covers: set[int] = set()
-
-    def extend(chosen: list[int], covered: int) -> None:
-        if covered == want:
-            covers.add(sum(1 << rep[key] for key in chosen))
-            return
-        missing = want & ~covered
-        low = missing & -missing
-        for key in rep:
-            if key & low and _irredundant(chosen + [key]):
-                extend(chosen + [key], covered | key)
-
-    extend([], 0)
+    _extend(rep, reduce(or_, rep, 0), [], 0, covers)
     return inclusion_minimal(space.closure_of(s) for s in covers)
+
+
+def _extend(rep: dict[int, int], want: int, chosen: list[int], covered: int,
+            covers: set[int]) -> None:
+    """``_slice_closures``'s search: add each minimal cover of ``want`` that extends ``chosen``.
+
+    ``rep`` maps each key to its point; a cover is added as the set of its points.
+    """
+    if covered == want:
+        covers.add(sum(1 << rep[key] for key in chosen))
+        return
+    missing = want & ~covered
+    low = missing & -missing
+    for key in rep:
+        if key & low and _irredundant(chosen + [key]):
+            _extend(rep, want, chosen + [key], covered | key, covers)
 
 
 def _irredundant(keys: list[int]) -> bool:

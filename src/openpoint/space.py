@@ -341,22 +341,43 @@ def space_from_masks(name: str, point_labels: Iterable[str], opens: Iterable[int
                        _cache={"opens": tuple(family)})
 
 
+_OPENS_FIELD = 'field "opens" must be a list of lists of strings'
+
+
 def validate_topology(point_labels, raw_opens, name: str = "space") -> FiniteSpace:
-    """Validate a label-level description and return the canonical space."""
+    """Validate a label-level description and return the canonical space.
+
+    ``raw_opens`` is a list of lists of labels.  One pass turns each open
+    into a mask, one lookup per label.  An open that is not a list, or a
+    label that is not a string, is refused at once, wherever it stands.
+    The first unknown label is held until the pass is over and the points
+    are checked for a duplicate, so the refusal is always the first of:
+    a malformed open anywhere, a duplicate point, the first unknown label,
+    and then whatever ``space_from_masks`` refuses.
+    """
     labels = tuple(point_labels)
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel(f"point labels {labels} contain a duplicate")
     # space_from_masks refuses more than MAX_POINTS points before it reads a
     # mask, so no mask needs a bit past MAX_POINTS: many labels build no wide ints
-    index = {lab: min(i, MAX_POINTS) for i, lab in enumerate(labels)}
+    bit_of = {lab: 1 << min(i, MAX_POINTS) for i, lab in enumerate(labels)}
     masks = []
+    unknown = None
     for raw in raw_opens:
+        if not isinstance(raw, list):
+            raise TopologyError(_OPENS_FIELD)
         mask = 0
         for lab in raw:
-            if lab not in index:
-                raise UnknownLabel(f"open set {list(raw)} mentions unknown label {lab!r}")
-            mask |= 1 << index[lab]
+            try:
+                mask |= bit_of[lab]
+            except (KeyError, TypeError):
+                if not isinstance(lab, str):
+                    raise TopologyError(_OPENS_FIELD) from None
+                if unknown is None:
+                    unknown = f"open set {list(raw)} mentions unknown label {lab!r}"
         masks.append(mask)
+    if len(bit_of) != len(labels):
+        raise DuplicateLabel(f"point labels {labels} contain a duplicate")
+    if unknown is not None:
+        raise UnknownLabel(unknown)
     return space_from_masks(name, labels, masks)
 
 
@@ -536,55 +557,11 @@ def space_to_json(space: FiniteSpace) -> dict:
 def space_from_json(obj: dict) -> FiniteSpace:
     """The space of a space file's object; any malformed object raises a TopologyError.
 
-    A well-formed object costs one Python pass over its labels
-    (``_one_pass_masks``).  Anything else goes through
-    ``_checked_space_from_json``, the schema check and then the label
-    loop of ``validate_topology``, which raises the precise error: a
-    schema error anywhere wins over an unknown label on an earlier open.
+    The object, its three fields, ``name`` and ``points`` are checked in
+    that order; then ``validate_topology`` reads the opens in one pass over
+    their labels.  An unknown label is reported only once that pass has
+    found no malformed open and the points no duplicate.
     """
-    masks = _one_pass_masks(obj)
-    if masks is None:
-        return _checked_space_from_json(obj)
-    return space_from_masks(obj["name"], obj["points"], masks)
-
-
-def _one_pass_masks(obj) -> list[int] | None:
-    """The opens of a well-formed space object as masks, or None.
-
-    Each open is one loop of lookups in ``_label_bits``, OR-ed together,
-    since an open may repeat a label.  None stands for anything a space
-    file must not hold: a field missing or of another type, duplicate
-    point labels, an open that is not a list, a label that is not a
-    point's (KeyError) or cannot be one (TypeError).  So is a space of
-    more than ``MAX_POINTS`` points, before any ``1 << i`` is built: the
-    checked path refuses it without one wide int per label.
-    """
-    if type(obj) is not dict:
-        return None
-    try:
-        points, opens = obj["points"], obj["opens"]
-        if type(obj["name"]) is not str or type(points) is not list or type(opens) is not list:
-            return None
-        if len(points) > MAX_POINTS:
-            return None
-        bit_of = _label_bits(points)
-        if len(bit_of) != len(points) or not all(type(lab) is str for lab in points):
-            return None
-        masks = []
-        for raw in opens:
-            if type(raw) is not list:
-                return None
-            mask = 0
-            for lab in raw:
-                mask |= bit_of[lab]
-            masks.append(mask)
-    except (KeyError, TypeError):
-        return None
-    return masks
-
-
-def _checked_space_from_json(obj) -> FiniteSpace:
-    """``space_from_json`` with every field checked first, in a fixed order."""
     if not isinstance(obj, dict):
         raise TopologyError("a space must be a JSON object")
     try:
@@ -597,8 +574,8 @@ def _checked_space_from_json(obj) -> FiniteSpace:
         raise TopologyError('field "name" must be a string')
     if not is_str_list(points):
         raise TopologyError('field "points" must be a list of strings')
-    if not isinstance(opens, list) or not all(is_str_list(u) for u in opens):
-        raise TopologyError('field "opens" must be a list of lists of strings')
+    if not isinstance(opens, list):
+        raise TopologyError(_OPENS_FIELD)
     return validate_topology(points, opens, name=name)
 
 

@@ -207,13 +207,7 @@ class PhaseLedger(NamedTuple):
 
     def records(self):
         for e in self.entries:
-            yield {
-                "stage": e.stage,
-                "alpha": e.alpha,
-                "beta": e.beta,
-                "eta": e.eta,
-                "epsilon": e.epsilon,
-            }
+            yield e._asdict()
 
 
 class AggState(NamedTuple):

@@ -63,6 +63,12 @@ def _space(points, opens, name="s"):
 # or, for the ``accepted`` ones, read to the same space
 MALFORMED = [
     ("schema-error-after-unknown-label", _space(["a"], [[], ["z"], [1], ["a"]])),
+    ("unknown-label-then-a-string-open", _space(["a"], [[], ["z"], "a", ["a"]])),
+    ("unknown-label-then-a-list-label", _space(["a"], [[], ["z"], [["a"]], ["a"]])),
+    ("unknown-label-then-duplicate-points", _space(["a", "b", "a"], [[], ["z"], ["a", "b"]])),
+    ("two-unknown-labels", _space(["a", "b"], [[], ["a", "y"], ["z"], ["a", "b"]])),
+    ("too-many-points-with-an-unknown-label",
+     _space([f"p{i}" for i in range(17)], [[], ["q"], [f"p{i}" for i in range(17)]])),
     ("duplicate-points-and-a-string-open", _space(["a", "a"], [[], ["a"], "a"])),
     ("duplicate-points", _space(["a", "a"], [[], ["a"]])),
     ("unknown-label", _space(["a", "b"], [[], ["a"], ["a", "c"], ["a", "b"]])),

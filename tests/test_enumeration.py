@@ -1,7 +1,7 @@
 import gc
 import weakref
 from array import array
-from functools import cache
+from functools import cache, partial
 from itertools import permutations
 from math import factorial
 from types import SimpleNamespace
@@ -22,14 +22,17 @@ from openpoint.enumeration import (
     _check_subspace_monotone,
     _check_variants,
     _picker_replies,
+    _preorder_masks,
     canonical_form,
     enumerate_labeled,
     enumerate_unlabeled,
     verify_suite,
 )
 from openpoint.game import GameVariant, StrategyTable
-from openpoint.products import FanStatus, product
-from openpoint.space import FiniteSpace, TooLarge, bits, closures, is_dense, space_from_masks
+from openpoint.invariants import pi_weight_brute, weight_brute
+from openpoint.products import FanStatus, fan_tightness_check, product
+from openpoint.space import (FiniteSpace, TooLarge, bits, closures, from_preorder, is_dense,
+                             space_from_masks)
 from openpoint.strategies import dense_point_picker
 
 from .conftest import make_discrete, make_indiscrete, make_sierpinski, make_two_sierpinski
@@ -540,3 +543,37 @@ class TestSuite:
         assert ok
         pair_records = [r for r in records if "*" in r["subject"]]
         assert len(pair_records) == 5 * 5 * 2
+
+
+def _fan_check_on_fresh_factors():
+    """``fan_tightness_check`` on T3.5 and T3.6 with every product built beforehand.
+
+    The product cache on a first factor is a cycle of its own (factor,
+    ``_cache``, product, ``factors``), so the products are made here and
+    the call reads them, while the slice closures are computed afresh.
+    """
+    three = {s.name: s for s in enumerate_labeled(3)}
+    x, y = (from_preorder(three[name].nbhds, name, three[name].point_labels)
+            for name in ("T3.5", "T3.6"))
+    for factors in ([x], [y], [x, y]):
+        product(factors)
+    return lambda: fan_tightness_check([x, y], 2, "all")
+
+
+@pytest.mark.parametrize("prepare", [
+    lambda: partial(pi_weight_brute, make_two_sierpinski()),
+    lambda: partial(weight_brute, make_two_sierpinski()),
+    lambda: partial(_preorder_masks, 3),
+    _fan_check_on_fresh_factors,
+], ids=["pi_weight_brute", "weight_brute", "_preorder_masks", "fan_tightness_check-all"])
+def test_a_backtracking_search_leaves_nothing_to_collect(prepare):
+    # with the cyclic collector off, a reference cycle left by the call
+    # (a self-recursive closure, say) would be found by gc.collect()
+    search = prepare()
+    gc.collect()
+    gc.disable()
+    try:
+        search()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

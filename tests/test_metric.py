@@ -148,6 +148,11 @@ class TestJson:
         with pytest.raises(InvalidMetric, match="exponent"):
             metric_from_json(obj)
 
+    def test_more_points_than_the_cap_are_refused_before_the_distances(self):
+        points = [f"p{i}" for i in range(17)]
+        with pytest.raises(TooLarge, match=r"^17 points exceeds the 16-point cap$"):
+            metric_from_json({"points": points, "dist": [[0] * 17]})
+
     def test_bad_string_rejected(self):
         with pytest.raises(InvalidMetric):
             metric_from_json({"points": ["a"], "dist": [["zebra"]]})
