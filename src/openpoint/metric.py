@@ -32,13 +32,18 @@ class PseudometricSpace(NamedTuple):
         return len(self.labels)
 
 
+def _check_square(n: int, rows) -> None:
+    """Refuse ``rows`` unless it is n rows of n entries, before any entry is read."""
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise InvalidMetric(f"distance matrix must be {n}x{n}")
+
+
 def pseudometric(labels, rows) -> PseudometricSpace:
-    """Validate a distance matrix: zero diagonal, symmetry, triangle."""
+    """Validate a distance matrix, a sequence of row sequences: n x n, zero diagonal, symmetry, triangle."""
     labels = tuple(labels)
     n = len(labels)
+    _check_square(n, rows)
     dist = tuple(tuple(Fraction(v) for v in row) for row in rows)
-    if len(dist) != n or any(len(r) != n for r in dist):
-        raise InvalidMetric(f"distance matrix must be {n}x{n}")
     for i in range(n):
         if dist[i][i] != 0:
             raise InvalidMetric(f"nonzero self-distance at point {i}")
@@ -236,6 +241,7 @@ def metric_from_json(obj: dict) -> PseudometricSpace:
         raise TooLarge(f"{len(points)} points exceeds the {MAX_POINTS}-point cap")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise InvalidMetric('field "dist" must be a list of lists')
+    _check_square(len(points), dist)  # before a long row's entries are parsed
     return pseudometric(points, [[_parse_distance(v) for v in row] for row in dist])
 
 

@@ -12,7 +12,8 @@ open lattice grows exponentially; so ``opens`` is the family validated by
 ``space_from_masks`` or, for a space built from rows, the union-closure of
 the rows built on first access, refused once it passes ``OPENS_CAP``.
 ``closure`` scans that lattice, as the oracle the derived routes are
-checked against; ``closures`` keeps its value for every subset.  Every
+checked against; ``closures`` holds the closure of every subset, built
+from the lattice in one pass over the subsets.  Every
 value derived from the rows is kept on the space through ``memo``, as are
 the label tables that ``mask_of`` and ``labels_of`` read.
 
@@ -404,7 +405,28 @@ def closures(space: FiniteSpace) -> tuple[int, ...]:
 
 
 def _all_closures(space: FiniteSpace) -> tuple[int, ...]:
-    return tuple(closure(space, s) for s in range(space.full + 1))
+    """One pass over the subsets c in increasing order, read off the lattice alone.
+
+    The largest open inside c, ``inner[c]``, is c if c is open; otherwise
+    some x of c lies outside it, so it is the largest open inside one of
+    the c minus a point, all of which come earlier: the OR of those.  The
+    closure of s is then the complement of ``inner`` of its complement.
+    No closure is joined from point closures: that would assume the
+    additivity that ``kuratowski`` tests.
+    """
+    full, opens = space.full, set(space.opens)
+    inner = [0] * (full + 1)
+    for c in range(1, full + 1):
+        if c in opens:
+            inner[c] = c
+            continue
+        got, rest = 0, c
+        while rest:  # bits(c), inlined: this runs for every subset of every space
+            low = rest & -rest
+            got |= inner[c ^ low]
+            rest ^= low
+        inner[c] = got
+    return tuple(full ^ inner[full ^ s] for s in range(full + 1))
 
 
 def interior(space: FiniteSpace, subset: int) -> int:

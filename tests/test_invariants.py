@@ -3,9 +3,10 @@ from operator import or_
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from openpoint import game, invariants
+from openpoint import space as space_module
 from openpoint.game import solved_gd
 from openpoint.invariants import (
     InvariantReport,
@@ -23,7 +24,7 @@ from openpoint.invariants import (
     weight,
     weight_brute,
 )
-from openpoint.space import FiniteSpace, closures, subspace, validate_topology
+from openpoint.space import FiniteSpace, bits, closures, subspace, validate_topology
 
 from .conftest import make_chain, make_discrete, make_indiscrete, make_two_sierpinski
 from .invariant_oracle import (
@@ -33,7 +34,7 @@ from .invariant_oracle import (
     tightness_scan,
     weight_scan,
 )
-from .util import closure_tables, spaces
+from .util import closure_tables, preorders, refuse, rowless, spaces
 
 
 class TestDensity:
@@ -128,18 +129,29 @@ class TestDelta:
                 assert delta_oracle(space) == max(d for _, d in want), space
 
 
+def holder_masks(cands, need):
+    """A ``(cands, need)`` cover instance transposed: per bit r of ``need``, the i with r in ``cands[i]``."""
+    return [sum(1 << i for i, cand in enumerate(cands) if cand >> r & 1) for r in bits(need)]
+
+
 class TestLeastCover:
     def test_no_requirement_has_one_candidate(self):
         # every requirement has two or three candidates, so the search
         # branches and backs out of the first branch that fails
-        assert _least_cover([0b000111, 0b011001, 0b100110, 0b111000, 0b000011], 0b111111) == 2
+        holders = holder_masks([0b000111, 0b011001, 0b100110, 0b111000, 0b000011], 0b111111)
+        assert _least_cover(holders) == 2
 
     def test_nothing_to_cover(self):
-        assert _least_cover([0b1], 0) == 0
+        assert _least_cover(holder_masks([0b1], 0)) == 0
 
     def test_an_unmet_requirement_raises(self):
         with pytest.raises(AssertionError):
-            _least_cover([0b01, 0b01], 0b11)
+            _least_cover(holder_masks([0b01, 0b01], 0b11))
+
+    def test_a_requirement_whose_holders_contain_anothers(self):
+        # {1} inside {0, 1, 2}: candidate 1 meets both, and {2, 3} needs one more
+        assert _least_cover([0b0111, 0b0010, 0b1100]) == 2
+        assert _least_cover([0b0111, 0b0010]) == 1
 
     @given(st.lists(st.integers(min_value=0, max_value=63), max_size=7),
            st.integers(min_value=1, max_value=63))
@@ -147,13 +159,14 @@ class TestLeastCover:
         def covers(family):
             return reduce(or_, family) & need == need
 
+        holders = holder_masks(cands, need)
         try:
             least = least_family(cands, covers)
         except AssertionError:
             with pytest.raises(AssertionError):
-                _least_cover(cands, need)
+                _least_cover(holders)
         else:
-            assert _least_cover(cands, need) == least
+            assert _least_cover(holders) == least
 
 
 class TestAgainstScans:
@@ -171,6 +184,42 @@ class TestAgainstScans:
     def test_discrete_six(self):
         space = make_discrete(6)
         assert pi_weight_brute(space) == weight_brute(space) == 6
+
+
+# the brute route of each report key, gd aside: the game solver reads the minimal opens
+BRUTE_ROUTES = {"d": density_brute, "delta": delta_oracle, "pi": pi_weight_brute,
+                "w": weight_brute, "t": tightness}
+
+
+class TestOracleIndependence:
+    """The brute oracles answer from the open lattice alone: no rows, minimal opens or point closures."""
+
+    def test_the_oracles_answer_without_the_structural_routes(self, oracle_corpus, monkeypatch):
+        want = [invariant_report(space) for space in oracle_corpus]
+        for module in (invariants, space_module):
+            for name in ("minimal_opens", "inclusion_minimal"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(FiniteSpace, "point_closures", refuse)
+        monkeypatch.setattr(FiniteSpace, "closure_of", refuse)
+        for space, rep in zip(oracle_corpus, want):
+            bare = rowless(space)
+            for key, oracle in BRUTE_ROUTES.items():
+                assert oracle(bare) == getattr(rep, key), (space.name, key)
+
+
+class TestRandomPreorders:
+    """The oracles against the report on random spaces of 6 to 8 points, past the exhaustive corpus."""
+
+    @seed(34)
+    @given(preorders(min_points=6, max_points=8))
+    @settings(max_examples=120, deadline=None)
+    def test_the_oracles_match_the_report(self, space):
+        rep = invariant_report(space)
+        got = {key: oracle(space) for key, oracle in BRUTE_ROUTES.items()}
+        assert got == {key: getattr(rep, key) for key in got}, space.nbhds
+        if space.n == 6:
+            assert rep.delta == delta_by_subspaces(space), space.nbhds
+            assert rep.t == tightness_scan(closures(space)), space.nbhds
 
 
 class TestTightness:
@@ -236,8 +285,6 @@ class TestReport:
         monkeypatch.setattr(game.StrategyTable, "__call__", boom)
         for name in ("tightness", "closures"):
             monkeypatch.setattr(invariants, name, boom)
-        import openpoint.space as space_module
-
         monkeypatch.setattr(space_module, "closure", boom)
         rep = invariant_report(make_two_sierpinski())
         assert rep == InvariantReport(d=2, delta=2, gd=2, pi=2, w=4, t=1)

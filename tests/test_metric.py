@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from openpoint import metric
 from openpoint.game import solve_game
 from openpoint.invariants import delta, density, pi_weight, weight
 from openpoint.metric import (
@@ -10,6 +12,7 @@ from openpoint.metric import (
     InvalidMetric,
     greedy_dense_sequence,
     greedy_run_violations,
+    load_metric,
     metric_from_json,
     metric_to_json,
     pseudometric,
@@ -152,6 +155,23 @@ class TestJson:
         points = [f"p{i}" for i in range(17)]
         with pytest.raises(TooLarge, match=r"^17 points exceeds the 16-point cap$"):
             metric_from_json({"points": points, "dist": [[0] * 17]})
+
+    def test_a_mis_shaped_matrix_is_refused_before_any_distance_is_parsed(self, monkeypatch, tmp_path):
+        def boom(v):
+            raise AssertionError("a distance was parsed before the shape was checked")
+
+        monkeypatch.setattr(metric, "_parse_distance", boom)
+        points = [f"p{i}" for i in range(16)]
+        path = tmp_path / "long-row.json"
+        path.write_text(json.dumps({"points": points, "dist": [[0] * 100_000] + [[0] * 16] * 15}))
+        with pytest.raises(InvalidMetric, match=r"^distance matrix must be 16x16$"):
+            load_metric(path)
+
+    def test_a_wrong_shape_is_named_before_a_bad_entry(self):
+        with pytest.raises(InvalidMetric, match=r"^distance matrix must be 2x2$"):
+            metric_from_json({"points": ["a", "b"], "dist": [["0", "zebra", "1"], ["zebra", "0"]]})
+        with pytest.raises(InvalidMetric, match=r"^distance matrix must be 2x2$"):
+            pseudometric(["a", "b"], [["zebra"]])
 
     def test_bad_string_rejected(self):
         with pytest.raises(InvalidMetric):

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from openpoint.space import (
     OPENS_CAP,
     DuplicateLabel,
     EmptySubspace,
+    FiniteSpace,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
@@ -47,7 +49,7 @@ from .space_file_oracle import (
     ref_space_from_json,
     ref_space_to_json,
 )
-from .util import close_family, space_and_subset, spaces
+from .util import close_family, refuse, rowless, space_and_subset, spaces
 
 
 def _mask(points):
@@ -206,6 +208,15 @@ class TestClosure:
         table = closures(space)
         assert table == tuple(closure(space, s) for s in range(space.full + 1))
         assert closures(space) is table
+
+    @given(spaces())
+    def test_closure_table_reads_neither_rows_nor_point_closures(self, space):
+        # a table joined from the point closures would assume the additivity
+        # that the kuratowski check tests, so that test could never fail
+        with mock.patch.object(FiniteSpace, "point_closures", refuse), \
+                mock.patch.object(FiniteSpace, "closure_of", refuse):
+            table = closures(rowless(space))
+        assert table == tuple(closure(space, s) for s in range(space.full + 1))
 
     @given(space_and_subset())
     def test_interior_duality(self, pair):

@@ -1,8 +1,8 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and space helpers shared by the test modules."""
 
 from hypothesis import strategies as st
 
-from openpoint.space import space_from_masks
+from openpoint.space import FiniteSpace, from_preorder, space_from_masks
 
 
 def close_family(n, masks):
@@ -29,6 +29,43 @@ def spaces(draw, max_points=5):
     opens = close_family(n, seeds)
     labels = [f"p{i}" for i in range(n)]
     return space_from_masks("random", labels, opens)
+
+
+@st.composite
+def preorders(draw, min_points=1, max_points=8):
+    """A random space on min_points..max_points points, built from its rows by ``from_preorder``.
+
+    A drawn list of pairs (x, y), read as y in N(x), is closed reflexively
+    and transitively (Warshall); the rows then build the space with no
+    lattice built.  Short lists give near-discrete spaces, long ones merge
+    points.
+    """
+    n = draw(st.integers(min_value=min_points, max_value=max_points))
+    point = st.integers(min_value=0, max_value=n - 1)
+    rows = [1 << x for x in range(n)]
+    for x, y in draw(st.lists(st.tuples(point, point), max_size=2 * n)):
+        rows[x] |= 1 << y
+    for k in range(n):
+        for x in range(n):
+            if rows[x] >> k & 1:
+                rows[x] |= rows[k]
+    return from_preorder(rows, "preorder")
+
+
+def refuse(*args, **kwargs):
+    """A stand-in for a route that must not be taken."""
+    raise AssertionError("a route that must not be taken was taken")
+
+
+class UnreadableRows:
+    """Rows that refuse every read: a space holding them answers only from its stored opens."""
+
+    __iter__ = __len__ = __getitem__ = __hash__ = __eq__ = refuse
+
+
+def rowless(space):
+    """A fresh copy of ``space`` that holds its open lattice and no readable rows."""
+    return FiniteSpace(space.name, space.n, space.point_labels, UnreadableRows(), {"opens": space.opens})
 
 
 @st.composite
