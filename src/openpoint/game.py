@@ -441,8 +441,7 @@ def stalling_picker(space: FiniteSpace):
     clpt = space.point_closures()
 
     def pick(closed, offered, stage, rng=None):
-        options = sorted(bits(offered), key=lambda x: ((closed | clpt[x]).bit_count(), x))
-        return 1 << options[0]
+        return 1 << min(bits(offered), key=lambda x: ((closed | clpt[x]).bit_count(), x))
 
     return pick
 

@@ -3,7 +3,9 @@
 Distances are exact rationals so radius comparisons and tie-breaks are
 deterministic.  A finite pseudometric induces the partition topology of its
 zero-distance classes; the greedy picker lands in a fresh class every step,
-which is why its run length equals the class count.
+which is why its run length equals the class count.  The picker itself reads
+only distances (Gonzalez's farthest-point traversal, one distance row per
+pick); ``greedy_run_violations`` builds the topology once to check the run.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import NamedTuple
 
 from .game import solved_gd
 from .invariants import delta, density, pi_weight, weight
-from .space import (MAX_POINTS, FiniteSpace, TooLarge, TopologyError, closure, from_preorder,
-                    is_str_list)
+from .space import (MAX_POINTS, DuplicateLabel, FiniteSpace, TooLarge, TopologyError, closure,
+                    from_preorder, is_str_list)
 
 
 class InvalidMetric(TopologyError):
@@ -39,7 +41,12 @@ def _check_square(n: int, rows) -> None:
 
 
 def pseudometric(labels, rows) -> PseudometricSpace:
-    """Validate a distance matrix, a sequence of row sequences: n x n, zero diagonal, symmetry, triangle."""
+    """Validate a distance matrix, a sequence of row sequences, and its labels.
+
+    The matrix is checked first: n x n, zero diagonal, symmetry, triangle.
+    Then the labels must be n distinct strings, refused as a space's labels
+    are, since ``greedy_dense_sequence`` builds no space that would refuse them.
+    """
     labels = tuple(labels)
     n = len(labels)
     _check_square(n, rows)
@@ -57,6 +64,10 @@ def pseudometric(labels, rows) -> PseudometricSpace:
             for k in range(n):
                 if dist[i][k] > dist[i][j] + dist[j][k]:
                     raise InvalidMetric(f"triangle inequality fails at ({i},{j},{k})")
+    if not all(isinstance(lab, str) for lab in labels):
+        raise TopologyError(f"a space on {n} points needs {n} string labels")
+    if len(set(labels)) != n:
+        raise DuplicateLabel(f"point labels {labels} contain a duplicate")
     return PseudometricSpace(labels=labels, dist=dist)
 
 
@@ -87,14 +98,6 @@ def topology_from_pseudometric(m: PseudometricSpace) -> FiniteSpace:
     return from_preorder(rows, "pseudometric", m.labels)
 
 
-def _ball(m: PseudometricSpace, center: int, radius: Fraction) -> int:
-    out = 0
-    for j in range(m.n):
-        if m.dist[center][j] < radius:
-            out |= 1 << j
-    return out
-
-
 class GreedyRun(NamedTuple):
     order: tuple[int, ...]
     radii: tuple[Fraction, ...]
@@ -108,35 +111,28 @@ def greedy_dense_sequence(m: PseudometricSpace, start: int = 0) -> GreedyRun:
     closure of the picks; the pick itself only needs half that radius, and
     ties go to the lowest point index.  Stops when the picks are dense in
     the induced partition topology.
+
+    Lemma: that radius is the farthest-point distance max_x gap[x], where
+    gap[x] is the distance from x to the picks, and the pick is the lowest x
+    with gap[x] >= radius / 2.  A point y in the zero class of a pick p has
+    d(x, y) = d(x, p), so the distance from x to the closure of the picks is
+    gap[x]; the ball B(x, r) misses a set exactly when r <= the distance from
+    x to it; and max(gap), a positive pairwise distance until the picks are
+    dense, is always a candidate.  So ``gap`` starts as the start point's row
+    and takes the elementwise minimum with each pick's row, O(n) a pick and
+    O(n^2) a run, and no topology is built: the run stops when max(gap) is 0.
     """
     if not 0 <= start < m.n:
         raise ValueError(f"start index {start} out of range")
-    space = topology_from_pseudometric(m)
-    ceiling = max((d for row in m.dist for d in row), default=Fraction(0)) + 1
-    candidates = sorted(
-        {d for row in m.dist for d in row if d > 0} | {ceiling},
-        reverse=True,
-    )
     order = [start]
     radii: list[Fraction] = []
-    while True:
-        covered = space.closure_of(_mask(order))
-        if covered == space.full:
-            break
-        complement = space.full ^ covered
-        step_radius = None
-        for r in candidates:
-            if any(_ball(m, x, r) & covered == 0 for x in range(m.n)):
-                step_radius = r
-                break
-        assert step_radius is not None, "the smallest positive radius always fits"
-        half = step_radius / 2
-        pick = next(
-            x for x in range(m.n)
-            if complement >> x & 1 and _ball(m, x, half) & covered == 0
-        )
+    gap = m.dist[start]
+    while radius := max(gap):
+        half = radius / 2
+        pick = next(x for x, g in enumerate(gap) if g >= half)
         order.append(pick)
-        radii.append(step_radius)
+        radii.append(radius)
+        gap = tuple(map(min, gap, m.dist[pick]))
     return GreedyRun(order=tuple(order), radii=tuple(radii))
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,17 @@ CI_FAN_CHECK_SHA256 = {
     (1, "all"): "3fd70e2f27eb5fefc1932e489f9de966e05684ef8e2d45fc66bf6bb4229711e9",
     (2, "boxes"): "72677415c2f2c3119c2e5ff4401c90ea0cffbdb1854b0e882537ec6c51109a31",
     (2, "all"): "aae97867b67b2c8068e745f3c7f49c644266dc19573b98ad02994e90d4461456",
+}
+
+# the 16-point metric file that CI builds for ``greedy``: points at (i * i) % 29 / 3
+# on a line, 15 zero classes and many tied radii
+M16_POSITIONS = [(i * i) % 29 for i in range(16)]
+M16 = {"points": [f"p{i}" for i in range(16)],
+       "dist": [[str(Fraction(abs(a - b), 3)) for b in M16_POSITIONS] for a in M16_POSITIONS]}
+# sha256 of ``greedy`` stdout on ``M16`` by start point: 15 lines each
+M16_GREEDY_SHA256 = {
+    None: "ba9d77395cf841987675fdf3058c4460cd738603830833b6f6033525e41a3a15",
+    "p5": "d209d387544e028de6ff854d0dc46c77a0d358ed55b80453a4a19a7ad6461a32",
 }
 
 
@@ -575,6 +587,15 @@ class TestGreedy:
         assert [r["point"] for r in recs] == ["a", "c", "b"]
         assert [r["radius"] for r in recs] == [None, "1", "2/5"]
 
+    @pytest.mark.parametrize("start", sorted(M16_GREEDY_SHA256, key=str))
+    def test_ci_metric_output_is_pinned(self, tmp_path, start):
+        path = tmp_path / "m16.json"
+        path.write_text(json.dumps(M16))
+        code, out, err = invoke(["greedy", str(path)] + (["--start", start] if start else []))
+        assert code == 0, err
+        assert len(out.splitlines()) == 15
+        assert hashlib.sha256(out.encode()).hexdigest() == M16_GREEDY_SHA256[start]
+
     def test_unknown_start(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"points": ["a"], "dist": [["0"]]}))
@@ -599,9 +620,11 @@ class TestGreedy:
         ('field "dist"', {"points": ["a", "b"], "dist": [[0, float("inf")], [float("inf"), 0]]}),
         ('field "dist"', {"points": ["a", "b"], "dist": [["0", "1/0"], ["1/0", "0"]]}),
         ("over-long exponent", {"points": ["a", "b"], "dist": [["0", "1e5000"], ["1e5000", "0"]]}),
+        ("error: point labels ('a', 'a') contain a duplicate",
+         {"points": ["a", "a"], "dist": [["0", "1"], ["1", "0"]]}),
     ], ids=["dist-integer", "dist-row-integer", "list-top-level", "points-string",
             "points-empty", "dist-nan", "dist-infinity", "dist-zero-denominator",
-            "dist-huge-exponent"])
+            "dist-huge-exponent", "points-duplicate"])
     def test_malformed_metric_fails(self, tmp_path, message, obj):
         # an exception escaping run() would fail the test before the assert
         path = tmp_path / "m.json"

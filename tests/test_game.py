@@ -810,6 +810,12 @@ class TestPlay:
         t.validate()
         assert t.length == 2
 
+    def test_stalling_picker_grows_the_closure_least(self, sierpinski):
+        # cl{a} = {a} and cl{b} = {a, b}: offered both, it picks a
+        assert stalling_picker(sierpinski)(0, 0b11, 0) == 0b01
+        # a tie on the closure's size goes to the lower point
+        assert stalling_picker(make_discrete(3))(0, 0b110, 0) == 0b010
+
     def test_picker_outside_open_rejected(self, sierpinski):
         table = solve_game(sierpinski)
         chooser = lambda closed, stage: table.best_move[closed]

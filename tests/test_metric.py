@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,12 @@ from openpoint.metric import (
     topology_from_pseudometric,
     zero_classes,
 )
-from openpoint.space import TooLarge, closure, space_from_masks
+from openpoint.space import (DuplicateLabel, FiniteSpace, TooLarge, TopologyError, closure,
+                             space_from_masks)
 
 from .conftest import make_discrete, make_indiscrete
+from .metric_oracle import reference_greedy_dense_sequence
+from .util import refuse
 
 
 def line_metric(positions):
@@ -50,6 +54,20 @@ class TestValidation:
     def test_negative_distance(self):
         with pytest.raises(InvalidMetric, match="negative"):
             pseudometric(["a", "b"], [[0, -1], [-1, 0]])
+
+    def test_labels_that_are_not_strings(self):
+        with pytest.raises(TopologyError, match=r"^a space on 2 points needs 2 string labels$"):
+            pseudometric([1, 2], [[0, 1], [1, 0]])
+
+    def test_a_repeated_label(self):
+        with pytest.raises(DuplicateLabel, match=r"^point labels \('a', 'a'\) contain a duplicate$"):
+            pseudometric(["a", "a"], [[0, 1], [1, 0]])
+
+    def test_the_matrix_is_refused_before_the_labels(self):
+        with pytest.raises(InvalidMetric, match="asymmetry"):
+            pseudometric([1, 1], [[0, 1], [2, 0]])
+        with pytest.raises(InvalidMetric, match="triangle"):
+            pseudometric(["a", "a", "a"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
 
 class TestInducedTopology:
@@ -124,6 +142,47 @@ class TestGreedy:
         for beta in range(1, len(run.order)):
             for alpha in range(beta):
                 assert m.dist[run.order[beta]][run.order[alpha]] >= run.radii[beta - 1] / 2
+
+
+def tied_line_metrics(count, seed):
+    """Integer line metrics on 1..12 points over a few positions: many zero classes and tied radii."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        pos = [rng.randrange(rng.randint(1, 8)) for _ in range(n)]
+        yield line_metric(pos)
+
+
+class TestGreedyAgainstTheBallScan:
+    """The farthest-point run against the candidate-radius ball scan it replaced."""
+
+    def test_every_start_point(self):
+        metrics = [*random_pseudometrics(count=60, max_points=12, seed=35), *tied_line_metrics(150, 35)]
+        runs = 0
+        for m in metrics:
+            for start in range(m.n):
+                got = greedy_dense_sequence(m, start)
+                want = reference_greedy_dense_sequence(m, start)
+                assert got == want, (m, start)
+                assert [str(r) for r in got.radii] == [str(r) for r in want.radii]
+                runs += 1
+        assert runs == 1365
+
+    def test_no_topology_is_read(self, monkeypatch):
+        m16 = line_metric([Fraction((i * i) % 29, 3) for i in range(16)])
+        metrics = [line_metric([0, Fraction(2, 5), 1]), m16,
+                   *random_pseudometrics(count=6, max_points=8, seed=1)]
+        want = [greedy_dense_sequence(m, start) for m in metrics for start in range(m.n)]
+        monkeypatch.setattr(metric, "topology_from_pseudometric", refuse)
+        monkeypatch.setattr(metric, "from_preorder", refuse)
+        monkeypatch.setattr(FiniteSpace, "closure_of", refuse)
+        assert [greedy_dense_sequence(m, start) for m in metrics for start in range(m.n)] == want
+
+    def test_more_points_than_a_space_file(self):
+        m = line_metric([i // 2 for i in range(40)])
+        run = greedy_dense_sequence(m)
+        assert len(run.order) == len(zero_classes(m)) == 20
+        assert run.radii[0] == 19
 
 
 class TestMetricCollapse:

@@ -4,7 +4,7 @@ from functools import reduce
 from operator import or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from openpoint.enumeration import canonical_form
 from openpoint.game import solve_game, solved_gd
@@ -42,7 +42,18 @@ from .fan_oracle import (
     reference_fibres,
     reference_point_keys,
 )
-from .util import spaces
+from .util import preorders, spaces
+
+# factor sizes of 2..4 points, two or three factors, at most 16 points in all
+PRODUCT_SHAPES = [shape for k in (2, 3) for shape in itertools.product(range(2, 5), repeat=k)
+                  if math.prod(shape) <= 16]
+
+
+@st.composite
+def random_products(draw):
+    """A product of 2..3 random factors of 2..4 points each, with at most 16 points."""
+    shape = draw(st.sampled_from(PRODUCT_SHAPES))
+    return product([draw(preorders(min_points=n, max_points=n)) for n in shape])
 
 
 class TestProduct:
@@ -480,6 +491,15 @@ class TestFanCells:
             assert sub.space.n == 12
             for kappa in (1, 2, 3):
                 assert _fan_cells(sub, kappa, "boxes") == reference_fan_cells(sub, kappa, "boxes")
+
+    @seed(35)
+    @given(random_products())
+    @settings(max_examples=30, deadline=None)
+    def test_random_products(self, sub):
+        # products of more than 12 points take the capped path
+        for pool in ("boxes", "all"):
+            for kappa in (1, 2, 3):
+                assert _fan_cells(sub, kappa, pool) == reference_fan_cells(sub, kappa, pool)
 
 
 def irredundant_by_rest(keys):
